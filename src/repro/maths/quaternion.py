@@ -2,11 +2,48 @@
 
 Unit quaternions represent rotations; ``quat_rotate(q, v)`` applies the
 rotation ``R(q) @ v``.  All functions are pure and never mutate inputs.
+
+The helpers unpack their inputs with ``.tolist()`` and do the arithmetic on
+Python floats: on 3- and 4-element inputs that is several times cheaper
+than numpy.  :func:`quat_unit` and :func:`rotate_unit` are the same kernels
+on floats, for the 500 Hz paths (RK4 integration) that stay in floats
+between calls.
 """
 
 from __future__ import annotations
 
+import math
+from typing import Sequence, Tuple
+
 import numpy as np
+
+
+def quat_unit(w: float, x: float, y: float, z: float) -> Tuple[float, float, float, float]:
+    """Unit-norm ``(w, x, y, z)`` as floats; the zero quaternion raises."""
+    norm = math.sqrt(w * w + x * x + y * y + z * z)
+    if norm < 1e-300:
+        raise ValueError("cannot normalize a zero quaternion")
+    return w / norm, x / norm, y / norm, z / norm
+
+
+def _matrix_rows(w: float, x: float, y: float, z: float) -> Tuple[Tuple[float, ...], ...]:
+    """Rows of the rotation matrix of the unit quaternion ``(w, x, y, z)``."""
+    return (
+        (1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)),
+        (2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)),
+        (2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)),
+    )
+
+
+def rotate_unit(q: Sequence[float], v: Sequence[float]) -> Tuple[float, float, float]:
+    """``R(q) @ v`` for a unit quaternion ``q`` and a 3-vector ``v``, as floats."""
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = _matrix_rows(*q)
+    vx, vy, vz = v
+    return (
+        m00 * vx + m01 * vy + m02 * vz,
+        m10 * vx + m11 * vy + m12 * vz,
+        m20 * vx + m21 * vy + m22 * vz,
+    )
 
 
 def quat_identity() -> np.ndarray:
@@ -16,23 +53,19 @@ def quat_identity() -> np.ndarray:
 
 def quat_normalize(q: np.ndarray) -> np.ndarray:
     """Unit-norm copy of ``q``; the zero quaternion raises."""
-    q = np.asarray(q, dtype=float)
-    norm = np.linalg.norm(q)
-    if norm < 1e-300:
-        raise ValueError("cannot normalize a zero quaternion")
-    return q / norm
+    return np.array(quat_unit(*np.asarray(q, dtype=float).tolist()))
 
 
 def quat_conjugate(q: np.ndarray) -> np.ndarray:
     """Conjugate (inverse for unit quaternions)."""
-    q = np.asarray(q, dtype=float)
-    return np.array([q[0], -q[1], -q[2], -q[3]])
+    w, x, y, z = np.asarray(q, dtype=float).tolist()
+    return np.array([w, -x, -y, -z])
 
 
 def quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Hamilton product ``a * b`` (apply ``b`` first, then ``a``)."""
-    aw, ax, ay, az = np.asarray(a, dtype=float)
-    bw, bx, by, bz = np.asarray(b, dtype=float)
+    aw, ax, ay, az = np.asarray(a, dtype=float).tolist()
+    bw, bx, by, bz = np.asarray(b, dtype=float).tolist()
     return np.array(
         [
             aw * bw - ax * bx - ay * by - az * bz,
@@ -48,19 +81,16 @@ def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
 
     ``v`` may be shape (3,) or (N, 3).
     """
-    return np.asarray(v, dtype=float) @ quat_to_matrix(q).T
+    v = np.asarray(v, dtype=float)
+    if v.ndim == 1:
+        unit = quat_unit(*np.asarray(q, dtype=float).tolist())
+        return np.array(rotate_unit(unit, v.tolist()))
+    return v @ quat_to_matrix(q).T
 
 
 def quat_to_matrix(q: np.ndarray) -> np.ndarray:
     """3x3 rotation matrix of unit quaternion ``q``."""
-    w, x, y, z = quat_normalize(q)
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
-    )
+    return np.array(_matrix_rows(*quat_unit(*np.asarray(q, dtype=float).tolist())))
 
 
 def matrix_to_quat(matrix: np.ndarray) -> np.ndarray:

@@ -10,20 +10,26 @@ to body angular velocity.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from repro.maths.quaternion import quat_from_axis_angle, quat_multiply
-
 
 def euler_zyx_to_quat(yaw: float, pitch: float, roll: float) -> np.ndarray:
-    """ZYX Euler angles to unit quaternion (body-to-world)."""
-    qz = quat_from_axis_angle(np.array([0.0, 0.0, 1.0]), yaw)
-    qy = quat_from_axis_angle(np.array([0.0, 1.0, 0.0]), pitch)
-    qx = quat_from_axis_angle(np.array([1.0, 0.0, 0.0]), roll)
-    return quat_multiply(quat_multiply(qz, qy), qx)
+    """ZYX Euler angles to unit quaternion (body-to-world).
+
+    This is ``qz(yaw) * qy(pitch) * qx(roll)`` written out on floats.  Each
+    factor is an axis-angle quaternion with two zero components; dropping
+    the zero terms of the two Hamilton products changes no rounding step.
+    """
+    cz, sz = math.cos(0.5 * yaw), math.sin(0.5 * yaw)
+    cy, sy = math.cos(0.5 * pitch), math.sin(0.5 * pitch)
+    cx, sx = math.cos(0.5 * roll), math.sin(0.5 * roll)
+    a, b, c, d = cz * cy, -(sz * sy), cz * sy, sz * cy  # qz * qy
+    return np.array([a * cx - b * sx, a * sx + b * cx, c * cx + d * sx, d * cx - c * sx])
 
 
 def euler_rates_to_body_omega(
@@ -34,8 +40,8 @@ def euler_rates_to_body_omega(
 
     Standard kinematic relation for the ZYX (yaw-pitch-roll) convention.
     """
-    sin_r, cos_r = np.sin(roll), np.cos(roll)
-    sin_p, cos_p = np.sin(pitch), np.cos(pitch)
+    sin_r, cos_r = math.sin(roll), math.cos(roll)
+    sin_p, cos_p = math.sin(pitch), math.cos(pitch)
     return np.array(
         [
             roll_rate - yaw_rate * sin_p,
@@ -78,25 +84,44 @@ class TrajectorySpline:
             raise ValueError("pitch waypoints too close to gimbal lock (+-pi/2)")
         self.t_start = float(times[0])
         self.t_end = float(times[-1])
-        self._pos = CubicSpline(times, positions, bc_type="natural")
-        self._vel = self._pos.derivative(1)
-        self._acc = self._pos.derivative(2)
-        self._euler = CubicSpline(times, eulers, bc_type="natural")
-        self._euler_rate = self._euler.derivative(1)
+        position = CubicSpline(times, positions, bc_type="natural")
+        euler = CubicSpline(times, eulers, bc_type="natural")
+        pieces = (
+            position,
+            position.derivative(1),
+            position.derivative(2),
+            euler,
+            euler.derivative(1),
+        )
+        # One (4, intervals, 15) table: position, velocity, acceleration,
+        # Euler angles and Euler rates.  Derivatives have fewer coefficients;
+        # zero rows on top make them cubics whose extra terms add exactly 0.
+        table = np.concatenate(
+            [np.pad(p.c, ((4 - p.c.shape[0], 0), (0, 0), (0, 0))) for p in pieces], axis=2
+        )
+        self._knots = times.tolist()
+        self._rows = table.transpose(1, 0, 2).tolist()  # per interval: c0..c3
 
     def sample(self, t: float) -> SplineSample:
         """Ground-truth kinematics at time ``t`` (clamped to the domain)."""
-        t = float(np.clip(t, self.t_start, self.t_end))
-        yaw, pitch, roll = self._euler(t)
-        yaw_rate, pitch_rate, roll_rate = self._euler_rate(t)
+        t = min(max(float(t), self.t_start), self.t_end)
+        knots = self._knots
+        # The interval scipy's PPoly picks: knots[i] <= t < knots[i + 1],
+        # and the last interval at t_end.
+        i = min(bisect_right(knots, t) - 1, len(knots) - 2)
+        c0, c1, c2, c3 = self._rows[i]
+        s = t - knots[i]
+        s2 = s * s
+        s3 = s2 * s
+        # PPoly's own summation order, so every value matches scipy's
+        # evaluation bit for bit.
+        v = [d + c * s + b * s2 + a * s3 for a, b, c, d in zip(c0, c1, c2, c3)]
         return SplineSample(
-            position=np.asarray(self._pos(t), dtype=float),
-            velocity=np.asarray(self._vel(t), dtype=float),
-            acceleration=np.asarray(self._acc(t), dtype=float),
-            orientation=euler_zyx_to_quat(yaw, pitch, roll),
-            omega_body=euler_rates_to_body_omega(
-                yaw, pitch, roll, yaw_rate, pitch_rate, roll_rate
-            ),
+            position=np.array(v[0:3]),
+            velocity=np.array(v[3:6]),
+            acceleration=np.array(v[6:9]),
+            orientation=euler_zyx_to_quat(*v[9:12]),
+            omega_body=euler_rates_to_body_omega(*v[9:15]),
         )
 
     @property

@@ -12,10 +12,17 @@ angular velocity and specific force over each sample interval.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Tuple
 
 import numpy as np
 
-from repro.maths.quaternion import quat_multiply, quat_normalize, quat_rotate
+from repro.maths.quaternion import (
+    quat_multiply,
+    quat_normalize,
+    quat_rotate,
+    quat_unit,
+    rotate_unit,
+)
 from repro.maths.se3 import Pose
 from repro.sensors.imu import GRAVITY_W, ImuSample
 
@@ -36,11 +43,6 @@ class IntegratorState:
         return Pose(self.position, self.orientation, timestamp=self.timestamp)
 
 
-def _quat_derivative(q: np.ndarray, omega: np.ndarray) -> np.ndarray:
-    """dq/dt = 0.5 * q  (x)  [0, omega]."""
-    return 0.5 * quat_multiply(q, np.concatenate(([0.0], omega)))
-
-
 class Rk4Integrator:
     """Integrates IMU samples forward from the latest VIO anchor."""
 
@@ -57,52 +59,67 @@ class Rk4Integrator:
         self.state = state
 
     def step(self, sample: ImuSample) -> IntegratorState:
-        """Advance the state to ``sample.timestamp`` using RK4."""
-        dt = sample.timestamp - self.state.timestamp
+        """Advance the state to ``sample.timestamp`` using RK4.
+
+        The stages run on Python floats: on 3- and 4-vectors, numpy's
+        per-operation overhead costs more than the arithmetic.
+        """
+        state = self.state
+        dt = sample.timestamp - state.timestamp
         if dt < 0:
             raise ValueError(
-                f"IMU sample is older than state: {sample.timestamp} < {self.state.timestamp}"
+                f"IMU sample is older than state: {sample.timestamp} < {state.timestamp}"
             )
         if dt == 0.0:
-            return self.state
-        omega = sample.gyro - self.state.gyro_bias
-        accel = sample.accel - self.state.accel_bias
-        q0 = self.state.orientation
-        p0 = self.state.position
-        v0 = self.state.velocity
+            return state
+        wx, wy, wz = (sample.gyro - state.gyro_bias).tolist()
+        accel = (sample.accel - state.accel_bias).tolist()
+        gx, gy, gz = GRAVITY_W.tolist()
 
-        def accel_world(q: np.ndarray) -> np.ndarray:
-            return quat_rotate(quat_normalize(q), accel) + GRAVITY_W
+        def derivative(qw: float, qx: float, qy: float, qz: float) -> Tuple[float, ...]:
+            """(dq/dt, dv/dt): 0.5 * q (x) [0, omega] and R(q) accel + g."""
+            ax, ay, az = rotate_unit(quat_unit(qw, qx, qy, qz), accel)
+            return (
+                0.5 * (-qx * wx - qy * wy - qz * wz),
+                0.5 * (qw * wx + qy * wz - qz * wy),
+                0.5 * (qw * wy - qx * wz + qz * wx),
+                0.5 * (qw * wz + qx * wy - qy * wx),
+                ax + gx,
+                ay + gy,
+                az + gz,
+            )
 
-        # RK4 with zero-order hold on omega and accel.
-        k1_q = _quat_derivative(q0, omega)
-        k1_v = accel_world(q0)
-        k1_p = v0
-
-        q_half_1 = q0 + 0.5 * dt * k1_q
-        k2_q = _quat_derivative(q_half_1, omega)
-        k2_v = accel_world(q_half_1)
-        k2_p = v0 + 0.5 * dt * k1_v
-
-        q_half_2 = q0 + 0.5 * dt * k2_q
-        k3_q = _quat_derivative(q_half_2, omega)
-        k3_v = accel_world(q_half_2)
-        k3_p = v0 + 0.5 * dt * k2_v
-
-        q_full = q0 + dt * k3_q
-        k4_q = _quat_derivative(q_full, omega)
-        k4_v = accel_world(q_full)
-        k4_p = v0 + dt * k3_v
-
-        q_new = quat_normalize(q0 + dt / 6.0 * (k1_q + 2 * k2_q + 2 * k3_q + k4_q))
-        v_new = v0 + dt / 6.0 * (k1_v + 2 * k2_v + 2 * k3_v + k4_v)
-        p_new = p0 + dt / 6.0 * (k1_p + 2 * k2_p + 2 * k3_p + k4_p)
-        self.state = replace(
-            self.state,
+        # RK4 with zero-order hold on omega and accel.  Each k holds
+        # (dq/dt, dv/dt) at one stage; dp/dt at a stage is that stage's
+        # velocity: v0, v0 + h k1_v, v0 + h k2_v, v0 + dt k3_v.
+        qw, qx, qy, qz = q0 = state.orientation.tolist()
+        p0 = state.position.tolist()
+        v0 = state.velocity.tolist()
+        h = 0.5 * dt
+        k1 = derivative(qw, qx, qy, qz)
+        k2 = derivative(qw + h * k1[0], qx + h * k1[1], qy + h * k1[2], qz + h * k1[3])
+        k3 = derivative(qw + h * k2[0], qx + h * k2[1], qy + h * k2[2], qz + h * k2[3])
+        k4 = derivative(qw + dt * k3[0], qx + dt * k3[1], qy + dt * k3[2], qz + dt * k3[3])
+        k1_v, k2_v, k3_v, k4_v = k1[4:], k2[4:], k3[4:], k4[4:]
+        sixth = dt / 6.0
+        q_new = [
+            q + sixth * (a + 2 * b + 2 * c + d) for q, a, b, c, d in zip(q0, k1, k2, k3, k4)
+        ]
+        v_new = [
+            v + sixth * (a + 2 * b + 2 * c + d)
+            for v, a, b, c, d in zip(v0, k1_v, k2_v, k3_v, k4_v)
+        ]
+        p_new = [
+            p + sixth * (v + 2 * (v + h * a) + 2 * (v + h * b) + (v + dt * c))
+            for p, v, a, b, c in zip(p0, v0, k1_v, k2_v, k3_v)
+        ]
+        self.state = IntegratorState(
             timestamp=sample.timestamp,
-            orientation=q_new,
-            position=p_new,
-            velocity=v_new,
+            orientation=np.array(quat_unit(*q_new)),
+            position=np.array(p_new),
+            velocity=np.array(v_new),
+            gyro_bias=state.gyro_bias,
+            accel_bias=state.accel_bias,
         )
         return self.state
 

@@ -15,6 +15,9 @@ The transition matrix is discretized to second order per IMU sample
 
 from __future__ import annotations
 
+from functools import lru_cache
+from typing import Tuple
+
 import numpy as np
 
 from repro.maths.quaternion import quat_to_matrix
@@ -22,6 +25,31 @@ from repro.maths.se3 import skew
 from repro.perception.integrator import IntegratorState, Rk4Integrator
 from repro.perception.vio.state import IMU_DIM, VioState
 from repro.sensors.imu import ImuNoise, ImuSample
+
+
+@lru_cache(maxsize=8)
+def _constant_blocks(noise: ImuNoise) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """F and G with their constant blocks filled, and the diagonal of Q_c.
+
+    Read-only: :func:`propagate` copies F and G before writing the blocks
+    that depend on the sample.
+    """
+    f = np.zeros((IMU_DIM, IMU_DIM))
+    f[0:3, 9:12] = -np.eye(3)
+    f[3:6, 6:9] = np.eye(3)
+    g = np.zeros((IMU_DIM, 12))
+    g[0:3, 0:3] = -np.eye(3)
+    g[9:12, 6:9] = np.eye(3)
+    g[12:15, 9:12] = np.eye(3)
+    qc_diag = np.array(
+        [noise.gyro_noise_density**2] * 3
+        + [noise.accel_noise_density**2] * 3
+        + [noise.gyro_bias_walk**2] * 3
+        + [noise.accel_bias_walk**2] * 3
+    )
+    for block in (f, g, qc_diag):
+        block.setflags(write=False)
+    return f, g, qc_diag
 
 
 def propagate(state: VioState, sample: ImuSample, noise: ImuNoise) -> None:
@@ -34,28 +62,19 @@ def propagate(state: VioState, sample: ImuSample, noise: ImuNoise) -> None:
     omega = sample.gyro - state.gyro_bias
     accel = sample.accel - state.accel_bias
     rotation = quat_to_matrix(state.orientation)
+    f_const, g_const, qc_diag = _constant_blocks(noise)
 
     # --- Covariance (uses the pre-propagation linearization point) -------
-    f = np.zeros((IMU_DIM, IMU_DIM))
+    f = f_const.copy()
     f[0:3, 0:3] = -skew(omega)
-    f[0:3, 9:12] = -np.eye(3)
-    f[3:6, 6:9] = np.eye(3)
     f[6:9, 0:3] = -rotation @ skew(accel)
     f[6:9, 12:15] = -rotation
     phi = np.eye(IMU_DIM) + f * dt + 0.5 * (f @ f) * dt * dt
 
-    g = np.zeros((IMU_DIM, 12))
-    g[0:3, 0:3] = -np.eye(3)
+    g = g_const.copy()
     g[6:9, 3:6] = -rotation
-    g[9:12, 6:9] = np.eye(3)
-    g[12:15, 9:12] = np.eye(3)
-    qc = np.diag(
-        [noise.gyro_noise_density**2] * 3
-        + [noise.accel_noise_density**2] * 3
-        + [noise.gyro_bias_walk**2] * 3
-        + [noise.accel_bias_walk**2] * 3
-    )
-    qd = g @ qc @ g.T * dt
+    # Q_c is diagonal, so G @ Q_c is G with its columns scaled.
+    qd = (g * qc_diag) @ g.T * dt
 
     dim = state.dim
     p_ii = state.covariance[:IMU_DIM, :IMU_DIM]

@@ -100,4 +100,6 @@ class ImuModel:
         if t_end <= t_start:
             raise ValueError("t_end must exceed t_start")
         times = np.arange(t_start, t_end, self._dt)
+        # A float step can put the last grid point on t_end itself.
+        times = times[times < t_end]
         return [self.sample_at(float(t)) for t in times]

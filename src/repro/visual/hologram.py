@@ -20,9 +20,9 @@ Two implementations coexist (selected by the ``accelerated`` flag):
   the hologram (every plane shares it), one batched inverse FFT, one
   batched forward FFT of the constrained fields, and one inverse FFT of
   their frequency-domain sum.  Per-target masks, flat indices, and norms
-  are cached across iterations, and the WGS weights live only on the
-  in-target pixels (weights elsewhere multiply a zero target and cannot
-  affect the result).
+  are cached across iterations, and the WGS weights and plane amplitudes
+  live only on the in-target pixels (weights elsewhere multiply a zero
+  target and cannot affect the result).
 
 ``benchmarks/perf_harness.py`` times both and checks parity; on the
 acceptance configuration (3 planes, 128^2, 10 iterations) the accelerated
@@ -174,6 +174,10 @@ class WeightedGerchbergSaxton:
         ]
         target_vals = [flat_targets[i] for i in plane_idx]
         has_target = [len(i) > 0 for i in plane_idx]
+        # All in-target indices in one array; plane k owns slice k of it.
+        target_idx = np.concatenate(plane_idx)
+        bounds = np.cumsum([0] + [len(i) for i in plane_idx]).tolist()
+        plane_slices = [slice(bounds[k], bounds[k + 1]) for k in range(d)]
         masked_weights = [np.ones(len(i)) for i in plane_idx]
         h_conj = self._transfer_conj
         ratio = np.zeros(d * n * n)
@@ -190,13 +194,17 @@ class WeightedGerchbergSaxton:
             task_times["hologram_to_depth"] += time.perf_counter() - t0
 
             t0 = time.perf_counter()
-            amp_flat = np.abs(plane_fields).reshape(-1)
-            masked_amps = [amp_flat[i] for i in plane_idx]
+            # Only in-target amplitudes are used (weights and the constraint
+            # ratio vanish elsewhere): gather those fields, then take |f|.
+            amps = np.abs(plane_fields.reshape(-1)[target_idx])
+            masked_amps = [amps[s] for s in plane_slices]
+            # sum()/size and array.sum()/d are the additions and divisions
+            # a.mean() and np.mean() make, without their dispatch overhead.
             plane_means = [
-                float(a.mean()) if has_target[k] else 0.0
+                float(a.sum()) / a.size if has_target[k] else 0.0
                 for k, a in enumerate(masked_amps)
             ]
-            mean_amp = float(np.mean(plane_means))
+            mean_amp = float(np.array(plane_means).sum()) / d
             task_times["sum"] += time.perf_counter() - t0
 
             t0 = time.perf_counter()

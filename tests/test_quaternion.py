@@ -50,8 +50,15 @@ def test_identity_rotates_nothing():
 
 
 def test_normalize_zero_raises():
-    with pytest.raises(ValueError):
-        quat_normalize(np.zeros(4))
+    # Every helper that normalizes rejects the zero quaternion.
+    for helper in (
+        quat_normalize,
+        quat_to_matrix,
+        lambda q: quat_rotate(q, np.array([1.0, 0.0, 0.0])),
+        lambda q: quat_rotate(q, np.ones((4, 3))),
+    ):
+        with pytest.raises(ValueError, match="zero quaternion"):
+            helper(np.zeros(4))
 
 
 def test_axis_angle_90_degrees():

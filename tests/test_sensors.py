@@ -89,11 +89,18 @@ def test_imu_gyro_zero_mean_at_rest():
 
 
 def test_imu_sample_rate_and_timestamps():
-    imu = ImuModel(_static_trajectory(), rate_hz=200.0, seed=0)
-    samples = imu.sequence(0.0, 1.0)
-    assert len(samples) == 200
-    deltas = np.diff([s.timestamp for s in samples])
-    assert np.allclose(deltas, 1 / 200)
+    cases = [
+        (200.0, 1.0, 200),
+        # np.arange(0, 16.1, 1/500) ends on 16.1 itself; [t_start, t_end) drops it.
+        (500.0, 16.1, 8050),
+    ]
+    for rate_hz, t_end, count in cases:
+        imu = ImuModel(_static_trajectory(), rate_hz=rate_hz, seed=0)
+        samples = imu.sequence(0.0, t_end)
+        assert len(samples) == count
+        timestamps = [s.timestamp for s in samples]
+        assert timestamps[-1] < t_end
+        assert np.allclose(np.diff(timestamps), 1 / rate_hz)
 
 
 def test_imu_noise_scales_with_density():
