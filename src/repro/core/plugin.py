@@ -15,8 +15,9 @@ ages.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, NamedTuple, Optional, Tuple
 
 from repro.core.phonebook import Phonebook
 from repro.core.switchboard import Switchboard
@@ -29,8 +30,9 @@ class Periodic:
     period: float
 
     def __post_init__(self) -> None:
-        if self.period <= 0:
-            raise ValueError(f"period must be positive, got {self.period}")
+        # A NaN or infinite period would leave the driver spinning at t=0.
+        if not 0 < self.period < math.inf:
+            raise ValueError(f"period must be finite and positive, got {self.period}")
 
 
 @dataclass(frozen=True)
@@ -93,8 +95,7 @@ class IterationResult:
         self.outputs.append(Output(topic, data, data_time))
 
 
-@dataclass(frozen=True)
-class InvocationContext:
+class InvocationContext(NamedTuple):
     """Facts about the current invocation, passed to ``iteration``."""
 
     now: float

@@ -12,12 +12,18 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 
-@dataclass(frozen=True)
-class InvocationRecord:
-    """One completed (or dropped) plugin invocation."""
+class InvocationRecord(NamedTuple):
+    """One completed (or dropped) plugin invocation.
+
+    Records, like the other per-invocation values (:class:`DropRecord`,
+    :class:`~repro.core.plugin.InvocationContext`,
+    :class:`~repro.hardware.timing.CostSample`), are immutable named
+    tuples: building one is a single tuple allocation, where a frozen
+    dataclass pays an ``object.__setattr__`` per field.
+    """
 
     plugin: str
     component: str
@@ -41,8 +47,7 @@ class InvocationRecord:
         return self.end - self.start
 
 
-@dataclass(frozen=True)
-class DropRecord:
+class DropRecord(NamedTuple):
     """A scheduled tick that was skipped because the previous invocation
     was still running (the frame-skip behaviour of §IV-A1)."""
 

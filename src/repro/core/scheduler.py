@@ -23,16 +23,23 @@ noise -- produces the execution-time variability of Fig. 4.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
-from repro.core.plugin import InvocationContext, IterationResult, OnTopic, OnVsync, Periodic, Plugin
+from repro.core.plugin import InvocationContext, OnTopic, OnVsync, Periodic, Plugin
 from repro.core.records import InvocationRecord, RecordLogger
 from repro.core.switchboard import Switchboard
 from repro.hardware.platform import Platform
-from repro.hardware.timing import TimingModel
+from repro.hardware.timing import CostSample, TimingModel
 from repro.sim.engine import Engine, Interrupt
 from repro.sim.resources import Resource
+
+# The cost a watchdog-killed invocation is logged with: its CPU/GPU slots
+# were reclaimed, so it consumed nothing accountable.
+_NO_COST = CostSample(0.0, 0.0)
+# Stands in for the span activation around an untraced invocation's publishes.
+_UNTRACED = nullcontext()
 
 
 @dataclass
@@ -193,10 +200,7 @@ class Scheduler:
     ) -> None:
         """Launch one invocation process, arming the watchdog if supervised."""
         process = self.engine.process(
-            self._invocation(
-                plugin, scheduled_at, deadline, vsync_period=vsync_period, trigger_event=trigger_event
-            ),
-            name=name,
+            self._invocation(plugin, scheduled_at, deadline, vsync_period, trigger_event), name
         )
         supervisor = self.supervisor
         if supervisor is None:
@@ -219,62 +223,55 @@ class Scheduler:
     # One invocation
     # ------------------------------------------------------------------
 
-    def _run_iteration(self, plugin: Plugin, index: int, trigger_event, span=None):
-        """Run ``plugin.iteration`` under supervision (crash/retry/quarantine).
+    def _run_iteration(
+        self, plugin: Plugin, index: int, trigger_event, skew: float, attempt: int, span=None
+    ):
+        """One attempt at ``plugin.iteration`` under supervision.
 
-        Returns the :class:`IterationResult`, or None when the invocation
-        was abandoned (quarantined, or retries exhausted).  Unsupervised,
-        this is exactly one ``iteration`` call and exceptions propagate.
+        Returns the :class:`IterationResult`; None when the invocation is
+        abandoned (quarantined, or retries exhausted); or, for a crash the
+        supervisor retries, the ``(backoff delay, error)`` pair, which
+        :meth:`_invocation` waits out before resetting the plugin.
+        Unsupervised, this is exactly one ``iteration`` call and exceptions
+        propagate.
 
         ``span`` (observability only) is activated around the synchronous
         ``iteration`` call so async topic reads inside it become lineage
         links; it is never held across a yield.
         """
-        injector = self.injector
-        supervisor = self.supervisor
-        skew = injector.clock_skew(plugin.component) if injector is not None else 0.0
-        attempt = 0
-        while True:
-            ctx = InvocationContext(
-                now=self.engine.now + skew, index=index, trigger_event=trigger_event
-            )
-            try:
-                if injector is not None:
-                    injector.check_crash(plugin.name, index, self.engine.now, attempt)
-                if span is not None:
-                    self.obs.note_attempt(span, ctx.now, attempt)
-                    with self.obs.tracer.activate(span):
-                        result = plugin.iteration(ctx)
-                else:
+        now = self.engine.now
+        ctx = InvocationContext(now + skew, index, trigger_event)
+        try:
+            if self.injector is not None:
+                self.injector.check_crash(plugin.name, index, now, attempt)
+            if span is None:
+                result = plugin.iteration(ctx)
+            else:
+                self.obs.note_attempt(span, ctx.now, attempt)
+                with self.obs.tracer.activate(span):
                     result = plugin.iteration(ctx)
-            except Interrupt:
+        except Interrupt:
+            raise
+        except Exception as exc:
+            if span is not None:
+                self.obs.on_attempt_error(span, now, exc)
+            supervisor = self.supervisor
+            if supervisor is None:
+                self._busy[plugin.name] = False
                 raise
-            except Exception as exc:
-                if span is not None:
-                    self.obs.on_attempt_error(span, self.engine.now, exc)
-                if supervisor is None:
-                    self._busy[plugin.name] = False
-                    raise
-                action = supervisor.record_failure(plugin.name, self.engine.now, exc)
-                if (
-                    action == "quarantine"
-                    or attempt >= supervisor.config.max_retries_per_invocation
-                ):
-                    if trigger_event is not None:
-                        # Poison event: route it to the dead-letter topic
-                        # instead of killing (or crash-looping) the reader.
-                        supervisor.dead_letter(plugin.name, self.engine.now, trigger_event, exc)
-                    return None
-                delay = supervisor.backoff_delay(plugin.name)
-                supervisor.record_retry(plugin.name, self.engine.now, delay)
-                if delay > 0:
-                    yield self.engine.timeout(delay)
-                plugin.reset(exc)
-                attempt += 1
-                continue
-            if supervisor is not None:
-                supervisor.on_success(plugin.name)
-            return result
+            action = supervisor.record_failure(plugin.name, now, exc)
+            if action == "quarantine" or attempt >= supervisor.config.max_retries_per_invocation:
+                if trigger_event is not None:
+                    # Poison event: route it to the dead-letter topic
+                    # instead of killing (or crash-looping) the reader.
+                    supervisor.dead_letter(plugin.name, now, trigger_event, exc)
+                return None
+            delay = supervisor.backoff_delay(plugin.name)
+            supervisor.record_retry(plugin.name, now, delay)
+            return delay, exc
+        if self.supervisor is not None:
+            self.supervisor.on_success(plugin.name)
+        return result
 
     def _invocation(
         self,
@@ -286,10 +283,14 @@ class Scheduler:
     ):
         # The spawner already marked the plugin busy (it must happen
         # before any other same-timestamp trigger fires).
-        index = self._indices[plugin.name]
-        self._indices[plugin.name] += 1
-        start = self.engine.now
+        engine = self.engine
+        name = plugin.name
+        component = plugin.component
+        injector = self.injector
         obs = self.obs
+        index = self._indices[name]
+        self._indices[name] = index + 1
+        start = engine.now
         span = (
             obs.begin_invocation(plugin, start, trigger_event, index)
             if obs is not None
@@ -299,40 +300,47 @@ class Scheduler:
         # them (a hung invocation must not leak a CPU core or the GPU).
         held: list = []
         try:
-            result: Optional[IterationResult] = yield from self._run_iteration(
-                plugin, index, trigger_event, span=span
-            )
+            skew = injector.clock_skew(component) if injector is not None else 0.0
+            attempt = 0
+            while True:
+                result = self._run_iteration(plugin, index, trigger_event, skew, attempt, span)
+                if not isinstance(result, tuple):
+                    break
+                delay, error = result
+                if delay > 0:
+                    yield engine.timeout(delay)
+                plugin.reset(error)
+                attempt += 1
             if result is None or result.skipped:
                 if span is not None:
-                    obs.end_invocation(span, end=self.engine.now, skipped=True)
-                self._busy[plugin.name] = False
+                    obs.end_invocation(span, end=engine.now, skipped=True)
+                self._busy[name] = False
                 return
 
             cost = self.timing.sample(
-                plugin.component,
-                app=self.app_name if plugin.component == "application" else None,
+                component,
+                app=self.app_name if component == "application" else None,
                 complexity=max(result.complexity, 1e-3),
             )
-            dilation = self.dilation.get(plugin.component, 1.0)
+            dilation = self.dilation.get(component, 1.0)
             if dilation != 1.0:
-                from repro.hardware.timing import CostSample
-
                 cost = CostSample(cost.cpu_time * dilation, cost.gpu_time * dilation)
 
             # Injected stall: the plugin wedges for N deadline-ticks while
             # holding no resource (a blocked syscall / driver hiccup).
             # Long stalls trip the watchdog.
-            if self.injector is not None:
-                stall = self.injector.stall_time(plugin.name, index, self.engine.now, deadline)
+            if injector is not None:
+                stall = injector.stall_time(name, index, engine.now, deadline)
                 if stall > 0:
-                    yield self.engine.timeout(stall)
+                    yield engine.timeout(stall)
 
             # CPU phase: occupy one core.
-            request = self.cpu.request()
-            held.append((self.cpu, request))
+            cpu = self.cpu
+            request = cpu.request()
+            held.append((cpu, request))
             yield request
-            yield self.engine.timeout(cost.cpu_time)
-            self.cpu.release(request)
+            yield engine.timeout(cost.cpu_time)
+            cpu.release(request)
             held.pop()
 
             # GPU phase (if any): occupy the GPU in timeslice quanta so a
@@ -351,98 +359,73 @@ class Scheduler:
                     # app-dependent MTP degradation, Table IV).
                     priority = 0
                     quantum = max(0.5e-3, cost.gpu_time / 10.0)
+                gpu = self.gpu
                 remaining = cost.gpu_time
                 while remaining > 1e-12:
                     slice_time = min(remaining, quantum)
-                    gpu_request = self.gpu.request(priority=priority)
-                    held.append((self.gpu, gpu_request))
+                    gpu_request = gpu.request(priority=priority)
+                    held.append((gpu, gpu_request))
                     yield gpu_request
-                    yield self.engine.timeout(slice_time)
-                    self.gpu.release(gpu_request)
+                    yield engine.timeout(slice_time)
+                    gpu.release(gpu_request)
                     held.pop()
                     remaining -= slice_time
 
             # Resource-free delay: an offloaded component's remote compute and
             # network round trip (no local CPU/GPU is held).
             if result.extra_delay > 0:
-                yield self.engine.timeout(result.extra_delay)
+                yield engine.timeout(result.extra_delay)
 
-            end = self.engine.now
+            end = engine.now
             # Output release: vsync-aligned plugins hold results to the vsync.
             swap_time = end
             if vsync_period is not None:
                 swap_time = math.ceil(end / vsync_period - 1e-9) * vsync_period
                 if swap_time > end:
-                    yield self.engine.timeout(swap_time - end)
+                    yield engine.timeout(swap_time - end)
         except Interrupt:
-            # Watchdog kill: reclaim any held slots, log a killed record
-            # (no cost -- the slots were reclaimed), release the plugin.
+            # Watchdog kill: reclaim any held slots and log a killed record
+            # with no cost (the slots were reclaimed).
             for resource, pending in held:
                 resource.cancel(pending)
+            end = engine.now
             if span is not None:
-                obs.end_invocation(span, end=self.engine.now, killed=True)
-            self.logger.log(
-                InvocationRecord(
-                    plugin=plugin.name,
-                    component=plugin.component,
-                    pipeline=plugin.pipeline,
-                    index=index,
-                    scheduled_at=scheduled_at,
-                    start=start,
-                    end=self.engine.now,
-                    cpu_time=0.0,
-                    gpu_time=0.0,
-                    deadline=deadline,
-                    missed_deadline=deadline is not None,
-                    killed=True,
-                )
-            )
-            self._busy[plugin.name] = False
-            return
-
-        if span is not None:
-            # Activate around the (synchronous) publishes so outputs are
-            # stamped with this invocation's trace context.
-            with obs.tracer.activate(span):
-                for output in result.outputs:
-                    self.switchboard.topic(output.topic).put(
-                        self.engine.now, output.data, data_time=output.data_time
-                    )
+                obs.end_invocation(span, end=end, killed=True)
+            cost = _NO_COST
+            killed = True
+            missed = deadline is not None
         else:
-            for output in result.outputs:
-                self.switchboard.topic(output.topic).put(
-                    self.engine.now, output.data, data_time=output.data_time
+            # Activate the span (if traced) around the synchronous publishes
+            # so outputs are stamped with this invocation's trace context.
+            now = engine.now
+            topic = self.switchboard.topic
+            with obs.tracer.activate(span) if span is not None else _UNTRACED:
+                for output in result.outputs:
+                    topic(output.topic).put(now, output.data, data_time=output.data_time)
+            killed = False
+            missed = deadline is not None and (end - scheduled_at) > deadline
+            if span is not None:
+                obs.end_invocation(
+                    span,
+                    end=end,
+                    cpu_time=cost.cpu_time,
+                    gpu_time=cost.gpu_time,
+                    swap_time=swap_time if vsync_period is not None else None,
+                    missed_deadline=missed,
                 )
-
-        missed = deadline is not None and (end - scheduled_at) > deadline
-        if span is not None:
-            obs.end_invocation(
-                span,
-                end=end,
-                cpu_time=cost.cpu_time,
-                gpu_time=cost.gpu_time,
-                swap_time=swap_time if vsync_period is not None else None,
-                missed_deadline=missed,
-            )
+        # Fields in declaration order: binding thirteen keywords would cost
+        # more than building the tuple.
         self.logger.log(
             InvocationRecord(
-                plugin=plugin.name,
-                component=plugin.component,
-                pipeline=plugin.pipeline,
-                index=index,
-                scheduled_at=scheduled_at,
-                start=start,
-                end=end,
-                cpu_time=cost.cpu_time,
-                gpu_time=cost.gpu_time,
-                deadline=deadline,
-                missed_deadline=missed,
+                name, component, plugin.pipeline, index,
+                scheduled_at, start, end, cost.cpu_time, cost.gpu_time,
+                deadline, missed, False, killed,
             )
         )
         on_complete: Optional[Callable[[CompletionInfo], None]] = getattr(
             plugin, "on_complete", None
         )
-        if on_complete is not None:
+        if on_complete is not None and not killed:
             on_complete(
                 CompletionInfo(
                     scheduled_at=scheduled_at,
@@ -453,7 +436,7 @@ class Scheduler:
                     swap_time=swap_time,
                 )
             )
-        self._busy[plugin.name] = False
+        self._busy[name] = False
 
     # ------------------------------------------------------------------
 

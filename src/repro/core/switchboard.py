@@ -12,6 +12,7 @@ of the motion-to-photon metric).
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, Generic, Iterator, List, Optional, TypeVar
@@ -93,6 +94,8 @@ class Topic(Generic[T]):
         self.name = name
         self._history: _RingBuffer[StampedEvent[T]] = _RingBuffer(history)
         self._sequence = 0
+        # Publish time of the newest delivered event (monotonicity check).
+        self._last_publish_time = -math.inf
         self._queues: List[Deque[StampedEvent[T]]] = []
         self._callbacks: List[Callable[[StampedEvent[T]], None]] = []
         # Fault-injection hook (see repro.resilience.faults).  None in
@@ -133,11 +136,12 @@ class Topic(Generic[T]):
         dead-letter/supervision publishes call it directly so control
         traffic is never itself faulted.
         """
-        if self._history and publish_time < self._history[-1].publish_time:
+        if publish_time < self._last_publish_time:
             raise ValueError(
                 f"topic {self.name!r}: non-monotonic publish time "
-                f"{publish_time} < {self._history[-1].publish_time}"
+                f"{publish_time} < {self._last_publish_time}"
             )
+        self._last_publish_time = publish_time
         observer = self._observer
         trace = observer.publish_context(self.name) if observer is not None else None
         event = StampedEvent(publish_time, data, data_time, self._sequence, trace)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -46,8 +46,7 @@ class CostModel:
             raise ValueError("cov must be non-negative")
 
 
-@dataclass(frozen=True)
-class CostSample:
+class CostSample(NamedTuple):
     """One sampled invocation cost (seconds of CPU and GPU occupancy)."""
 
     cpu_time: float
@@ -113,14 +112,8 @@ SCALE_OVERRIDES: Dict[Tuple[str, str], Tuple[float, float]] = {
 }
 
 
-def _lognormal_params(mean: float, cov: float) -> Tuple[float, float]:
-    """(mu, sigma) of a lognormal with the given mean and coefficient of
-    variation."""
-    if mean <= 0:
-        return (-math.inf, 0.0)
-    sigma2 = math.log(1.0 + cov * cov)
-    mu = math.log(mean) - 0.5 * sigma2
-    return (mu, math.sqrt(sigma2))
+# A (component, app) pair's lognormal parameters; see TimingModel._lognormal.
+_Parameters = Tuple[np.random.Generator, float, float, float, float]
 
 
 class TimingModel:
@@ -134,6 +127,7 @@ class TimingModel:
         self.platform = platform
         self.seed = seed
         self._rngs: Dict[str, np.random.Generator] = {}
+        self._parameters: Dict[Tuple[str, Optional[str]], _Parameters] = {}
 
     def _rng(self, component: str) -> np.random.Generator:
         if component not in self._rngs:
@@ -169,12 +163,32 @@ class TimingModel:
             return override
         return (self.platform.cpu_scale, self.platform.gpu_scale)
 
+    def _lognormal(self, component: str, app: Optional[str]) -> _Parameters:
+        """(rng, cpu mean x scale, gpu mean x scale, sigma^2 / 2, sigma) of
+        the pair's lognormals, validated and computed on first use.
+
+        Platform scales are positive, so a scaled mean is zero exactly
+        when the model's mean is: that phase has no work and no draw.
+        """
+        parameters = self._parameters.get((component, app))
+        if parameters is None:
+            model = self._model_for(component, app)
+            cpu_scale, gpu_scale = self._scales(component)
+            sigma2 = math.log(1.0 + model.cov * model.cov)
+            parameters = (
+                self._rng(component if app is None else f"{component}/{app}"),
+                model.cpu_mean * cpu_scale,
+                model.gpu_mean * gpu_scale,
+                0.5 * sigma2,
+                math.sqrt(sigma2),
+            )
+            self._parameters[(component, app)] = parameters
+        return parameters
+
     def mean_cost(self, component: str, app: Optional[str] = None) -> CostSample:
         """Mean (not sampled) cost of one invocation on this platform."""
-        model = self._model_for(component, app)
-        key = "application" if component == "application" else component
-        cpu_scale, gpu_scale = self._scales(key)
-        return CostSample(model.cpu_mean * cpu_scale, model.gpu_mean * gpu_scale)
+        _rng, cpu_mean, gpu_mean, _half_sigma2, _sigma = self._lognormal(component, app)
+        return CostSample(cpu_mean, gpu_mean)
 
     def sample(
         self,
@@ -182,21 +196,29 @@ class TimingModel:
         app: Optional[str] = None,
         complexity: float = 1.0,
     ) -> CostSample:
-        """Sample one invocation's (cpu_time, gpu_time) on this platform."""
-        if complexity <= 0:
-            raise ValueError(f"complexity must be positive: {complexity}")
-        model = self._model_for(component, app)
-        key = "application" if component == "application" else component
-        cpu_scale, gpu_scale = self._scales(key)
-        rng = self._rng(component if app is None else f"{component}/{app}")
+        """Sample one invocation's (cpu_time, gpu_time) on this platform.
 
-        def draw(mean: float, scale: float) -> float:
-            if mean == 0.0:
-                return 0.0
-            mu, sigma = _lognormal_params(mean * scale * complexity, model.cov)
-            return float(rng.lognormal(mu, sigma))
-
-        return CostSample(draw(model.cpu_mean, cpu_scale), draw(model.gpu_mean, gpu_scale))
+        Each phase draws ``lognormal(log(mean * complexity) - sigma^2 / 2,
+        sigma)`` from the pair's own stream, CPU first, so its mean is the
+        scaled mean times ``complexity``.
+        """
+        # One chained comparison rejects zero, negatives, NaN and infinity.
+        if not 0.0 < complexity < math.inf:
+            raise ValueError(f"complexity must be finite and positive: {complexity}")
+        rng, cpu_mean, gpu_mean, half_sigma2, sigma = self._parameters.get(
+            (component, app)
+        ) or self._lognormal(component, app)
+        cpu_time = (
+            float(rng.lognormal(math.log(cpu_mean * complexity) - half_sigma2, sigma))
+            if cpu_mean
+            else 0.0
+        )
+        gpu_time = (
+            float(rng.lognormal(math.log(gpu_mean * complexity) - half_sigma2, sigma))
+            if gpu_mean
+            else 0.0
+        )
+        return CostSample(cpu_time, gpu_time)
 
     def percentile(
         self, component: str, q: float, app: Optional[str] = None
@@ -208,15 +230,12 @@ class TimingModel:
         """
         if not 0.0 < q < 1.0:
             raise ValueError(f"q must be in (0, 1): {q}")
-        model = self._model_for(component, app)
-        key = "application" if component == "application" else component
-        cpu_scale, gpu_scale = self._scales(key)
+        _rng, cpu_mean, gpu_mean, half_sigma2, sigma = self._lognormal(component, app)
         from scipy.stats import norm
 
         z = float(norm.ppf(q))
         total = 0.0
-        for mean, scale in ((model.cpu_mean, cpu_scale), (model.gpu_mean, gpu_scale)):
+        for mean in (cpu_mean, gpu_mean):
             if mean > 0:
-                mu, sigma = _lognormal_params(mean * scale, model.cov)
-                total += math.exp(mu + sigma * z)
+                total += math.exp(math.log(mean) - half_sigma2 + sigma * z)
         return total

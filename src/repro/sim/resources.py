@@ -11,6 +11,7 @@ utilization (used for the CPU-cycle attribution of Fig. 5 sanity checks).
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappush
 from typing import Deque, Optional
 
 from repro.sim.engine import Engine, Event, SimulationError
@@ -24,8 +25,14 @@ class Request(Event):
     context that lets reprojection jump ahead of application rendering.
     """
 
+    __slots__ = ("resource", "priority", "granted_at")
+
     def __init__(self, resource: "Resource", priority: int = 0) -> None:
-        super().__init__(resource.engine)
+        self.engine = resource.engine
+        self.callbacks = []
+        self.value = None
+        self.ok = True
+        self._scheduled = False
         self.resource = resource
         self.priority = priority
         self.granted_at: Optional[float] = None
@@ -57,13 +64,13 @@ class Resource:
 
     def _account(self) -> None:
         now = self.engine.now
-        self._busy_integral += self.in_use * (now - self._last_change)
+        self._busy_integral += len(self._users) * (now - self._last_change)
         self._last_change = now
 
     def request(self, priority: int = 0) -> Request:
         """Claim a slot; yield the returned request to wait for the grant."""
         req = Request(self, priority=priority)
-        if self.in_use < self.capacity:
+        if len(self._users) < self.capacity:
             self._grant(req)
         else:
             # Insert before the first strictly-lower-priority waiter.
@@ -76,23 +83,38 @@ class Resource:
         return req
 
     def _grant(self, req: Request) -> None:
-        self._account()
-        self._users.add(req)
-        req.granted_at = self.engine.now
-        req.succeed(req)
+        """Account busy time, take a slot and schedule the grant event now.
+
+        The grant is ``req.succeed(req)`` with the accounting and the push
+        inlined: it runs once per CPU phase and once per GPU timeslice.
+        """
+        engine = self.engine
+        now = engine.now
+        users = self._users
+        self._busy_integral += len(users) * (now - self._last_change)
+        self._last_change = now
+        users.add(req)
+        req.granted_at = now
+        req.value = req
+        req._scheduled = True
+        sequence = engine._sequence
+        engine._sequence = sequence + 1
+        heappush(engine._queue, (now, sequence, req))
 
     def release(self, req: Request) -> None:
         """Return a granted slot, waking the next waiter if any."""
-        if req in self._users:
+        users = self._users
+        waiting = self._waiting
+        if req in users:
             self._account()
-            self._users.discard(req)
-        elif req in self._waiting:
-            self._waiting.remove(req)
+            users.discard(req)
+        elif req in waiting:
+            waiting.remove(req)
             return
         else:
             raise SimulationError(f"release of unknown request on {self.name!r}")
-        while self._waiting and self.in_use < self.capacity:
-            self._grant(self._waiting.popleft())
+        while waiting and len(users) < self.capacity:
+            self._grant(waiting.popleft())
 
     def cancel(self, req: Request) -> None:
         """Withdraw a request that has not been granted yet."""

@@ -1,5 +1,7 @@
 """Unit tests for the platform, timing, power, and microarchitecture models."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -113,8 +115,9 @@ def test_complexity_scales_sample():
     plain = np.mean([timing.sample("vio", complexity=1.0).cpu_time for _ in range(500)])
     double = np.mean([timing.sample("vio", complexity=2.0).cpu_time for _ in range(500)])
     assert double == pytest.approx(2 * plain, rel=0.15)
-    with pytest.raises(ValueError):
-        timing.sample("vio", complexity=0.0)
+    for complexity in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            timing.sample("vio", complexity=complexity)
 
 
 def test_percentile_monotone():

@@ -55,8 +55,9 @@ def test_phonebook_names_sorted():
 
 
 def test_periodic_requires_positive_period():
-    with pytest.raises(ValueError):
-        Periodic(0.0)
+    for period in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            Periodic(period)
 
 
 def test_onvsync_lead_must_fit_period():

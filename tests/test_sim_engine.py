@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event simulation engine."""
 
+import math
+
 import pytest
 
 from repro.sim.engine import Engine, Interrupt, SimulationError
@@ -49,8 +51,11 @@ def test_simultaneous_events_fire_in_schedule_order():
 
 def test_negative_timeout_rejected():
     engine = Engine()
-    with pytest.raises(ValueError):
-        engine.timeout(-0.1)
+    for delay in (-0.1, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            engine.timeout(delay)
+    engine.run()
+    assert engine.now == 0.0
 
 
 def test_run_until_stops_clock_exactly():
