@@ -11,7 +11,34 @@ VII's *encoding* row; multiple sources sum channel-wise (*summation*).
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache
+from typing import Tuple
+
 import numpy as np
+
+# Every real SH of degree <= 3 (N3D, ACN order) is ``k * a * q(x, y, z)``:
+# a constant ``k``, a linear factor ``a`` ("" for none) and a polynomial
+# ``q`` of degree <= 2 given as {monomial: coefficient}, each monomial
+# spelled as its factors ("xx" is x*x, "" is 1).
+_SH_FACTORS = (
+    (1.0, "", {"": 1.0}),                                      # ACN 0: Y_0^0
+    (math.sqrt(3.0), "", {"y": 1.0}),                          # ACN 1
+    (math.sqrt(3.0), "", {"z": 1.0}),                          # ACN 2
+    (math.sqrt(3.0), "", {"x": 1.0}),                          # ACN 3
+    (math.sqrt(15.0), "x", {"y": 1.0}),                        # ACN 4
+    (math.sqrt(15.0), "y", {"z": 1.0}),                        # ACN 5
+    (math.sqrt(5.0) / 2.0, "", {"zz": 3.0, "": -1.0}),         # ACN 6
+    (math.sqrt(15.0), "x", {"z": 1.0}),                        # ACN 7
+    (math.sqrt(15.0) / 2.0, "", {"xx": 1.0, "yy": -1.0}),      # ACN 8
+    (math.sqrt(35.0 / 8.0), "y", {"xx": 3.0, "yy": -1.0}),     # ACN 9
+    (math.sqrt(105.0), "x", {"yz": 1.0}),                      # ACN 10
+    (math.sqrt(21.0 / 8.0), "y", {"zz": 5.0, "": -1.0}),       # ACN 11
+    (math.sqrt(7.0) / 2.0, "z", {"zz": 5.0, "": -3.0}),        # ACN 12
+    (math.sqrt(21.0 / 8.0), "x", {"zz": 5.0, "": -1.0}),       # ACN 13
+    (math.sqrt(105.0) / 2.0, "z", {"xx": 1.0, "yy": -1.0}),    # ACN 14
+    (math.sqrt(35.0 / 8.0), "x", {"xx": 1.0, "yy": -3.0}),     # ACN 15
+)
 
 
 def ambisonic_channels(order: int) -> int:
@@ -21,11 +48,40 @@ def ambisonic_channels(order: int) -> int:
     return (order + 1) ** 2
 
 
+def _monomial_index(monomial: str) -> int:
+    """Column of a monomial in ``[1, x, y, z, xx, xy, xz, yx, ..., zz]``."""
+    index = 0
+    for factor in monomial:
+        index = 3 * index + "xyz".index(factor)
+    return (3 ** len(monomial) - 1) // 2 + index
+
+
+@lru_cache(maxsize=4)
+def _sh_factors(order: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_SH_FACTORS`` of the first (order+1)^2 channels, as arrays.
+
+    Returns the column of each linear factor in ``[1, x, y, z]`` (C,), the
+    constants (C,) and the coefficients (13, C) of each ``q`` on the
+    monomials of degree <= 2.  Read-only.
+    """
+    factors = _SH_FACTORS[: ambisonic_channels(order)]
+    linear = np.array([_monomial_index(a) for _k, a, _q in factors])
+    constants = np.array([k for k, _a, _q in factors])
+    quadratic = np.zeros((13, len(factors)))
+    for channel, (_k, _a, q) in enumerate(factors):
+        for monomial, coefficient in q.items():
+            quadratic[_monomial_index(monomial), channel] = coefficient
+    for array in (linear, constants, quadratic):
+        array.setflags(write=False)
+    return linear, constants, quadratic
+
+
 def real_sh_matrix(order: int, directions: np.ndarray) -> np.ndarray:
     """Real SH values Y (N3D, ACN order) for unit ``directions`` (N, 3).
 
     Supports orders 0-3 (16 channels), the range used by HOA audio.
-    Returns shape (N, (order+1)^2).
+    Returns shape (N, (order+1)^2), every channel from one product:
+    ``(k * a) * q`` with all the ``q`` as one monomial-coefficient product.
     """
     if not 0 <= order <= 3:
         raise ValueError(f"order must be in [0, 3]: {order}")
@@ -33,37 +89,12 @@ def real_sh_matrix(order: int, directions: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(d, axis=1)
     if np.any(norms < 1e-12):
         raise ValueError("directions must be nonzero")
-    d = d / norms[:, None]
-    x, y, z = d[:, 0], d[:, 1], d[:, 2]
-    cols = [np.ones_like(x)]  # ACN 0: Y_0^0
-    if order >= 1:
-        s3 = np.sqrt(3.0)
-        cols += [s3 * y, s3 * z, s3 * x]  # ACN 1..3
-    if order >= 2:
-        s15 = np.sqrt(15.0)
-        s5 = np.sqrt(5.0)
-        cols += [
-            s15 * x * y,                     # ACN 4
-            s15 * y * z,                     # ACN 5
-            s5 / 2.0 * (3 * z * z - 1.0),    # ACN 6
-            s15 * x * z,                     # ACN 7
-            s15 / 2.0 * (x * x - y * y),     # ACN 8
-        ]
-    if order >= 3:
-        s35_8 = np.sqrt(35.0 / 8.0)
-        s105 = np.sqrt(105.0)
-        s21_8 = np.sqrt(21.0 / 8.0)
-        s7 = np.sqrt(7.0)
-        cols += [
-            s35_8 * y * (3 * x * x - y * y),     # ACN 9
-            s105 * x * y * z,                    # ACN 10
-            s21_8 * y * (5 * z * z - 1.0),       # ACN 11
-            s7 / 2.0 * z * (5 * z * z - 3.0),    # ACN 12
-            s21_8 * x * (5 * z * z - 1.0),       # ACN 13
-            s105 / 2.0 * z * (x * x - y * y),    # ACN 14
-            s35_8 * x * (x * x - 3 * y * y),     # ACN 15
-        ]
-    return np.stack(cols, axis=1)
+    u = d / norms[:, None]
+    n = len(u)
+    powers = np.concatenate([np.ones((n, 1)), u], axis=1)  # [1, x, y, z]
+    monomials = np.concatenate([powers, (u[:, :, None] * u[:, None, :]).reshape(n, 9)], axis=1)
+    linear, constants, quadratic = _sh_factors(order)
+    return (powers[:, linear] * constants) * (monomials @ quadratic)
 
 
 def encode_block(signal: np.ndarray, direction: np.ndarray, order: int) -> np.ndarray:

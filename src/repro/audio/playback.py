@@ -38,6 +38,11 @@ class AudioPlayback:
     def __post_init__(self) -> None:
         if not 256 <= self.block_size <= 2048:
             raise ValueError(f"block size out of range: {self.block_size}")
+        # Zoom mixes W with the first-order X channel, so order 0 cannot play.
+        if not 1 <= self.order <= 3:
+            raise ValueError(f"playback order must be in [1, 3]: {self.order}")
+        if not -1.0 <= self.zoom_strength <= 1.0:
+            raise ValueError(f"zoom strength out of [-1, 1]: {self.zoom_strength}")
         if self.hrtf is None:
             self.hrtf = HrtfSet(
                 sample_rate_hz=self.sample_rate_hz,

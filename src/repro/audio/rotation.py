@@ -9,17 +9,46 @@ the SH basis on a fixed, well-conditioned direction set ``D`` and solve
     R_l @ Y_l(D)^T = Y_l(rot(D))^T
 
 in the least-squares sense -- exact (to machine precision) because both
-sides live in the same (2l+1)-dimensional space.
+sides live in the same (2l+1)-dimensional space.  ``D`` and the
+pseudo-inverses of ``Y_l(D)`` depend only on the order, so they are
+computed once; a rotation then costs one SH evaluation and one product.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
+from typing import Tuple
 
 import numpy as np
 
 from repro.audio.ambisonics import ambisonic_channels, fibonacci_directions, real_sh_matrix
 
-# A fixed sample set, comfortably over-determined for order 3.
-_SAMPLE_DIRECTIONS = fibonacci_directions(48)
+# The smallest Fibonacci set on which every degree-1..3 basis has full
+# column rank (seven directions leave degree 3 rank-deficient).
+_SAMPLE_COUNT = 8
+
+
+@lru_cache(maxsize=4)
+def _projection(order: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sample directions, stacked per-degree pseudo-inverses and block mask.
+
+    Row block ``l`` of the (C, N) pseudo-inverse is ``pinv(Y_l(D))``, so
+    ``pinv @ Y(rot(D))`` holds every ``R_l^T`` on its diagonal blocks.  The
+    arrays are read-only because every call shares them.
+    """
+    channels = ambisonic_channels(order)
+    directions = fibonacci_directions(_SAMPLE_COUNT)
+    y = real_sh_matrix(order, directions)
+    pinv = np.zeros((channels, len(directions)))
+    mask = np.zeros((channels, channels))
+    for degree in range(order + 1):
+        start = degree * degree
+        stop = (degree + 1) ** 2
+        pinv[start:stop] = np.linalg.pinv(y[:, start:stop])
+        mask[start:stop, start:stop] = 1.0
+    for constant in (directions, pinv, mask):
+        constant.setflags(write=False)
+    return directions, pinv, mask
 
 
 def sh_rotation_matrix(order: int, rotation: np.ndarray) -> np.ndarray:
@@ -31,19 +60,9 @@ def sh_rotation_matrix(order: int, rotation: np.ndarray) -> np.ndarray:
     rotation = np.asarray(rotation, dtype=float)
     if rotation.shape != (3, 3):
         raise ValueError(f"expected a 3x3 rotation, got {rotation.shape}")
-    channels = ambisonic_channels(order)
-    result = np.zeros((channels, channels))
+    directions, pinv, mask = _projection(order)
+    result = (pinv @ real_sh_matrix(order, directions @ rotation.T)).T * mask
     result[0, 0] = 1.0
-    y_all = real_sh_matrix(order, _SAMPLE_DIRECTIONS)
-    y_rot_all = real_sh_matrix(order, _SAMPLE_DIRECTIONS @ rotation.T)
-    for degree in range(1, order + 1):
-        start = degree * degree
-        stop = (degree + 1) ** 2
-        y = y_all[:, start:stop]         # (N, 2l+1)
-        y_rot = y_rot_all[:, start:stop]
-        # Solve R_l from Y_rot = Y @ R_l^T  (rows are directions).
-        block_t, _res, _rank, _sv = np.linalg.lstsq(y, y_rot, rcond=None)
-        result[start:stop, start:stop] = block_t.T
     return result
 
 

@@ -37,15 +37,13 @@ class SpeechLikeSource:
         # Two formant-ish tones over the noise bed.
         voiced = 0.5 * np.sin(2 * np.pi * 220 * t) + 0.3 * np.sin(2 * np.pi * 540 * t + 1.0)
         raw = envelope * (0.5 * noise * 0.3 + voiced)
-        # One-pole low-pass for a speech-like spectrum.
-        out = np.empty(n)
+        # One-pole low-pass for a speech-like spectrum: a recurrence, so it
+        # runs sample by sample, on Python floats.
         state = self._lp_state
         alpha = 0.25
-        for i in range(n):
-            state = state + alpha * (raw[i] - state)
-            out[i] = state
+        out = [state := state + alpha * (x - state) for x in raw.tolist()]
         self._lp_state = state
-        return np.clip(out * 20000, -32768, 32767).astype(np.int16)
+        return np.clip(np.array(out) * 20000, -32768, 32767).astype(np.int16)
 
 
 @dataclass

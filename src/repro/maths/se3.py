@@ -24,7 +24,7 @@ from repro.maths.quaternion import (
 
 def skew(v: np.ndarray) -> np.ndarray:
     """Skew-symmetric (cross-product) matrix of a 3-vector."""
-    x, y, z = np.asarray(v, dtype=float)
+    x, y, z = np.asarray(v, dtype=float).tolist()
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 

@@ -28,8 +28,8 @@ from repro.sensors.imu import ImuNoise, ImuSample
 
 
 @lru_cache(maxsize=8)
-def _constant_blocks(noise: ImuNoise) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """F and G with their constant blocks filled, and the diagonal of Q_c.
+def _constant_blocks(noise: ImuNoise) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """F and G with their constant blocks filled, the diagonal of Q_c, and I.
 
     Read-only: :func:`propagate` copies F and G before writing the blocks
     that depend on the sample.
@@ -47,9 +47,10 @@ def _constant_blocks(noise: ImuNoise) -> Tuple[np.ndarray, np.ndarray, np.ndarra
         + [noise.gyro_bias_walk**2] * 3
         + [noise.accel_bias_walk**2] * 3
     )
-    for block in (f, g, qc_diag):
+    identity = np.eye(IMU_DIM)
+    for block in (f, g, qc_diag, identity):
         block.setflags(write=False)
-    return f, g, qc_diag
+    return f, g, qc_diag, identity
 
 
 def propagate(state: VioState, sample: ImuSample, noise: ImuNoise) -> None:
@@ -61,30 +62,32 @@ def propagate(state: VioState, sample: ImuSample, noise: ImuNoise) -> None:
         return
     omega = sample.gyro - state.gyro_bias
     accel = sample.accel - state.accel_bias
-    rotation = quat_to_matrix(state.orientation)
-    f_const, g_const, qc_diag = _constant_blocks(noise)
+    neg_rotation = -quat_to_matrix(state.orientation)
+    f_const, g_const, qc_diag, identity = _constant_blocks(noise)
 
     # --- Covariance (uses the pre-propagation linearization point) -------
     f = f_const.copy()
     f[0:3, 0:3] = -skew(omega)
-    f[6:9, 0:3] = -rotation @ skew(accel)
-    f[6:9, 12:15] = -rotation
-    phi = np.eye(IMU_DIM) + f * dt + 0.5 * (f @ f) * dt * dt
+    f[6:9, 0:3] = neg_rotation @ skew(accel)
+    f[6:9, 12:15] = neg_rotation
+    phi = identity + f * dt + 0.5 * (f @ f) * dt * dt
 
     g = g_const.copy()
-    g[6:9, 3:6] = -rotation
+    g[6:9, 3:6] = neg_rotation
     # Q_c is diagonal, so G @ Q_c is G with its columns scaled.
     qd = (g * qc_diag) @ g.T * dt
 
-    dim = state.dim
-    p_ii = state.covariance[:IMU_DIM, :IMU_DIM]
-    p_ic = state.covariance[:IMU_DIM, IMU_DIM:]
-    state.covariance[:IMU_DIM, :IMU_DIM] = phi @ p_ii @ phi.T + qd
-    if dim > IMU_DIM:
-        new_cross = phi @ p_ic
-        state.covariance[:IMU_DIM, IMU_DIM:] = new_cross
-        state.covariance[IMU_DIM:, :IMU_DIM] = new_cross.T
-    state.symmetrize()
+    # Only the IMU block needs symmetrizing: the cross blocks are written as
+    # X and X.T, and every other writer of the covariance (EKF update,
+    # landmark initialization, cloning, marginalization) leaves the rest
+    # exactly symmetric, where 0.5 * (a + a) == a.
+    cov = state.covariance
+    p_ii = phi @ cov[:IMU_DIM, :IMU_DIM] @ phi.T + qd
+    cov[:IMU_DIM, :IMU_DIM] = 0.5 * (p_ii + p_ii.T)
+    if state.dim > IMU_DIM:
+        new_cross = phi @ cov[:IMU_DIM, IMU_DIM:]
+        cov[:IMU_DIM, IMU_DIM:] = new_cross
+        cov[IMU_DIM:, :IMU_DIM] = new_cross.T
 
     # --- Mean (RK4, same scheme as the standalone integrator) -----------
     integrator = Rk4Integrator(

@@ -38,15 +38,48 @@ class TriangulationResult:
     jtj: np.ndarray             # Gauss-Newton normal matrix (3, 3)
 
 
-def _camera_pose(
-    orientation: np.ndarray, position: np.ndarray, r_cam_body: np.ndarray, eye_offset: float
-) -> Tuple[np.ndarray, np.ndarray]:
-    """(R_cw, t) such that p_cam = R_cw @ p_world + t for this eye."""
-    r_wb = quat_to_matrix(orientation)
-    r_cw = r_cam_body @ r_wb.T
-    t = -r_cw @ position
-    t[0] -= eye_offset
-    return r_cw, t
+# Points nearer than this to a camera are rejected as behind or degenerate.
+MIN_DEPTH_M = 0.05
+
+
+def stereo_projection(
+    p_cam: np.ndarray, intrinsics: CameraIntrinsics
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """Pixels and projection Jacobians of camera-frame points, one per eye.
+
+    Returns ``(uv, J)``: predicted pixels (n, 2) and the 2x3 Jacobians
+    d(u, v)/d(p_cam) (n, 2, 3); None if any point is nearer than
+    :data:`MIN_DEPTH_M`.
+    """
+    xy = p_cam[:, :2]
+    z = p_cam[:, 2:]
+    if (z < MIN_DEPTH_M).any():
+        return None
+    f = np.array([intrinsics.fx, intrinsics.fy])
+    f_xy = f * xy
+    uv = f_xy / z + np.array([intrinsics.cx, intrinsics.cy])
+    jac = np.zeros((len(z), 6))  # [du/dx, du/dy, du/dz, dv/dx, dv/dy, dv/dz]
+    jac[:, 0::4] = f / z  # du/dx, dv/dy
+    jac[:, 2::3] = -f_xy / z**2  # du/dz, dv/dz
+    return uv, jac.reshape(-1, 2, 3)
+
+
+def _window_cameras(
+    observations: List[CloneObservation], r_cam_body: np.ndarray, baseline_m: float
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Camera poses and pixels of every eye in the clone window.
+
+    Returns ``R_cw`` (K, 3, 3), ``t`` (K, 2, 3) and pixels (K, 2, 2) with
+    ``p_cam = R_cw @ p_world + t`` for each clone's left eye (index 0) and
+    right eye (index 1, ``baseline_m`` along camera +x).
+    """
+    r_wb = np.array([quat_to_matrix(obs.orientation) for obs in observations])
+    r_cw = r_cam_body @ r_wb.transpose(0, 2, 1)
+    positions = np.array([obs.position for obs in observations], dtype=float)
+    t = np.repeat((-r_cw @ positions[:, :, None]).transpose(0, 2, 1), 2, axis=1)
+    t[:, 1, 0] -= baseline_m
+    pixels = np.array([(obs.uv_left, obs.uv_right) for obs in observations], dtype=float)
+    return r_cw, t, pixels
 
 
 def triangulate(
@@ -57,53 +90,40 @@ def triangulate(
     max_iterations: int = 5,
     pixel_sigma: float = 1.0,
 ) -> Optional[TriangulationResult]:
-    """Triangulate from >=1 stereo observation; None if degenerate."""
+    """Triangulate from >=1 stereo observation; None if degenerate.
+
+    Every eye of the window enters each step as one array expression; rows
+    run per clone as left u, v, then right u, v.
+    """
     if not observations:
         return None
-    rows_a: List[np.ndarray] = []
-    rows_b: List[float] = []
-    cams: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    for obs in observations:
-        for eye_offset, uv in ((0.0, obs.uv_left), (baseline_m, obs.uv_right)):
-            r_cw, t = _camera_pose(obs.orientation, obs.position, r_cam_body, eye_offset)
-            x = (uv[0] - intrinsics.cx) / intrinsics.fx
-            y = (uv[1] - intrinsics.cy) / intrinsics.fy
-            # Linear DLT rows: x * (r3 p + t3) = r1 p + t1, etc.
-            rows_a.append(x * r_cw[2] - r_cw[0])
-            rows_b.append(t[0] - x * t[2])
-            rows_a.append(y * r_cw[2] - r_cw[1])
-            rows_b.append(t[1] - y * t[2])
-            cams.append((r_cw, t, np.asarray(uv, dtype=float)))
-    a = np.vstack(rows_a)
-    b = np.asarray(rows_b)
+    r_cw, t, pixels = _window_cameras(observations, r_cam_body, baseline_m)
+    count = len(observations)
+    # Linear DLT rows per eye: x * (r3 p + t3) = r1 p + t1, then the same in y.
+    xy = (pixels - np.array([intrinsics.cx, intrinsics.cy])) / np.array(
+        [intrinsics.fx, intrinsics.fy]
+    )
+    a = (xy[..., None] * r_cw[:, None, 2:3, :] - r_cw[:, None, :2, :]).reshape(-1, 3)
+    b = (t[..., :2] - xy * t[..., 2:3]).ravel()
     solution, _residuals, rank, _sv = np.linalg.lstsq(a, b, rcond=None)
     if rank < 3:
         return None
     point = solution
+    pixels = pixels.reshape(-1, 2)
+
+    def project(p_world: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        return stereo_projection(((r_cw @ p_world)[:, None, :] + t).reshape(-1, 3), intrinsics)
 
     # Gauss-Newton refinement on reprojection error.
     converged = False
     jtj = np.eye(3)
     for _ in range(max_iterations):
-        residuals = []
-        jacobians = []
-        for r_cw, t, uv in cams:
-            p_cam = r_cw @ point + t
-            if p_cam[2] < 0.05:
-                return None
-            z = p_cam[2]
-            u_hat = intrinsics.fx * p_cam[0] / z + intrinsics.cx
-            v_hat = intrinsics.fy * p_cam[1] / z + intrinsics.cy
-            residuals.append([uv[0] - u_hat, uv[1] - v_hat])
-            j_proj = np.array(
-                [
-                    [intrinsics.fx / z, 0.0, -intrinsics.fx * p_cam[0] / z**2],
-                    [0.0, intrinsics.fy / z, -intrinsics.fy * p_cam[1] / z**2],
-                ]
-            )
-            jacobians.append(j_proj @ r_cw)
-        r = np.concatenate(residuals)
-        j = np.vstack(jacobians)
+        projected = project(point)
+        if projected is None:
+            return None
+        uv, j_proj = projected
+        r = (pixels - uv).ravel()
+        j = (j_proj.reshape(count, 4, 3) @ r_cw).reshape(-1, 3)
         jtj = j.T @ j
         try:
             delta = np.linalg.solve(jtj + 1e-9 * np.eye(3), j.T @ r)
@@ -115,15 +135,11 @@ def triangulate(
             break
 
     # Final reprojection error.
-    errors = []
-    for r_cw, t, uv in cams:
-        p_cam = r_cw @ point + t
-        if p_cam[2] < 0.05:
-            return None
-        u_hat = intrinsics.fx * p_cam[0] / p_cam[2] + intrinsics.cx
-        v_hat = intrinsics.fy * p_cam[1] / p_cam[2] + intrinsics.cy
-        errors.append(np.hypot(uv[0] - u_hat, uv[1] - v_hat))
-    mean_error = float(np.mean(errors))
+    projected = project(point)
+    if projected is None:
+        return None
+    error = pixels - projected[0]
+    mean_error = float(np.mean(np.hypot(error[:, 0], error[:, 1])))
     if not np.all(np.isfinite(point)):
         return None
     return TriangulationResult(

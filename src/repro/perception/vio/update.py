@@ -15,10 +15,20 @@ import numpy as np
 from scipy.stats import chi2 as chi2_dist
 
 from repro.maths.quaternion import quat_to_matrix
-from repro.maths.se3 import skew
-from repro.perception.vio.state import LANDMARK_DIM, VioState
+from repro.perception.vio.state import CLONE_DIM, IMU_DIM, LANDMARK_DIM, CloneState, VioState
 from repro.perception.vio.tracker import Track
+from repro.perception.vio.triangulation import stereo_projection
 from repro.sensors.camera import CameraIntrinsics
+
+
+# Row-major [v]x of a 3-vector v is v @ _SKEW_BASIS.
+_SKEW_BASIS = np.array(
+    [
+        [0.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0, 1.0, 0.0],
+        [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0],
+        [0.0, -1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    ]
+)
 
 
 @lru_cache(maxsize=512)
@@ -27,6 +37,39 @@ def chi2_threshold(dof: int, confidence: float = 0.95) -> float:
     if dof < 1:
         raise ValueError(f"dof must be >= 1: {dof}")
     return float(chi2_dist.ppf(confidence, dof))
+
+
+def _window_jacobians(
+    clones: List[CloneState],
+    feature_position: np.ndarray,
+    pixels: np.ndarray,
+    intrinsics: CameraIntrinsics,
+    baseline_m: float,
+    r_cam_body: np.ndarray,
+) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Stereo residuals and Jacobian blocks of one point seen from K clones.
+
+    ``pixels`` (2K, 2) holds each clone's left, then right observation.
+    Returns ``(r, H_pose, H_f)``: residuals (4K,) in the order left u, v,
+    right u, v per clone; d/d(clone theta, clone p) blocks (K, 4, 6); and
+    d/d(feature) blocks (K, 4, 3).  None if any eye sees the point nearer
+    than the minimum depth.
+    """
+    r_bw = np.array([quat_to_matrix(clone.orientation) for clone in clones]).transpose(0, 2, 1)
+    positions = np.array([clone.position for clone in clones])
+    y = (r_bw @ (feature_position - positions)[:, :, None])[:, :, 0]  # body frame
+    p_cam = np.repeat(y @ r_cam_body.T, 2, axis=0)
+    p_cam[1::2, 0] -= baseline_m
+    projected = stereo_projection(p_cam, intrinsics)
+    if projected is None:
+        return None
+    uv, j_proj = projected
+    count = len(clones)
+    j_proj = j_proj.reshape(count, 4, 3)
+    skew_y = (y @ _SKEW_BASIS).reshape(-1, 3, 3)  # [y]x per clone
+    h_f = j_proj @ (r_cam_body @ r_bw)
+    h_pose = np.concatenate([j_proj @ (r_cam_body @ skew_y), -h_f], axis=2)
+    return (pixels - uv).ravel(), h_pose, h_f
 
 
 def feature_jacobians(
@@ -42,45 +85,33 @@ def feature_jacobians(
     Returns ``(r, H_x, H_f)`` with 4 rows per clone (stereo u, v for both
     eyes), or None if no clone in the current window observed the feature.
     """
-    rows_r: List[float] = []
-    rows_hx: List[np.ndarray] = []
-    rows_hf: List[np.ndarray] = []
-    dim = state.dim
-    window = {clone.clone_id: clone for clone in state.clones}
-    for clone_id, (uv_left, uv_right) in sorted(track.observations.items()):
-        clone = window.get(clone_id)
-        if clone is None:
-            continue
-        r_wb = quat_to_matrix(clone.orientation)
-        y = r_wb.T @ (feature_position - clone.position)  # body frame
-        p_base = r_cam_body @ y
-        offset = state.clone_offset(clone_id)
-        d_theta = r_cam_body @ skew(y)
-        d_pos = -r_cam_body @ r_wb.T
-        d_feat = r_cam_body @ r_wb.T
-        for eye_offset, uv in ((0.0, uv_left), (baseline_m, uv_right)):
-            p_cam = p_base.copy()
-            p_cam[0] -= eye_offset
-            z = p_cam[2]
-            if z < 0.05:
-                return None
-            u_hat = intrinsics.fx * p_cam[0] / z + intrinsics.cx
-            v_hat = intrinsics.fy * p_cam[1] / z + intrinsics.cy
-            j_proj = np.array(
-                [
-                    [intrinsics.fx / z, 0.0, -intrinsics.fx * p_cam[0] / z**2],
-                    [0.0, intrinsics.fy / z, -intrinsics.fy * p_cam[1] / z**2],
-                ]
-            )
-            h_row = np.zeros((2, dim))
-            h_row[:, offset : offset + 3] = j_proj @ d_theta
-            h_row[:, offset + 3 : offset + 6] = j_proj @ d_pos
-            rows_hx.append(h_row)
-            rows_hf.append(j_proj @ d_feat)
-            rows_r.extend([uv[0] - u_hat, uv[1] - v_hat])
-    if not rows_r:
+    index = {clone.clone_id: i for i, clone in enumerate(state.clones)}
+    seen = [
+        (index[clone_id], uv_left, uv_right)
+        for clone_id, (uv_left, uv_right) in sorted(track.observations.items())
+        if clone_id in index
+    ]
+    if not seen:
         return None
-    return (np.asarray(rows_r), np.vstack(rows_hx), np.vstack(rows_hf))
+    slots = [i for i, _, _ in seen]
+    pixels = np.array([uv for _, uv_left, uv_right in seen for uv in (uv_left, uv_right)])
+    blocks = _window_jacobians(
+        [state.clones[i] for i in slots],
+        feature_position,
+        pixels,
+        intrinsics,
+        baseline_m,
+        r_cam_body,
+    )
+    if blocks is None:
+        return None
+    residual, h_pose, h_f = blocks
+    count = len(slots)
+    h_x = np.zeros((4 * count, state.dim))
+    rows = np.arange(4 * count).reshape(count, 4, 1)
+    columns = (IMU_DIM + CLONE_DIM * np.array(slots))[:, None, None] + np.arange(CLONE_DIM)
+    h_x[rows, columns] = h_pose
+    return residual, h_x, h_f.reshape(-1, 3)
 
 
 def nullspace_project(
@@ -212,38 +243,23 @@ def landmark_jacobians(
 ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     """Residual + Jacobian for one SLAM landmark seen from one clone."""
     feature_position = state.landmarks[feature_id]
-    window = {clone.clone_id: clone for clone in state.clones}
-    clone = window.get(clone_id)
+    clone = next((clone for clone in state.clones if clone.clone_id == clone_id), None)
     if clone is None:
         return None
-    r_wb = quat_to_matrix(clone.orientation)
-    y = r_wb.T @ (feature_position - clone.position)
-    p_base = r_cam_body @ y
     clone_offset = state.clone_offset(clone_id)
     feat_offset = state.landmark_offset(feature_id)
-    d_theta = r_cam_body @ skew(y)
-    d_pos = -r_cam_body @ r_wb.T
-    d_feat = r_cam_body @ r_wb.T
-    rows_r: List[float] = []
-    rows_h: List[np.ndarray] = []
-    for eye_offset, uv in ((0.0, uv_left), (baseline_m, uv_right)):
-        p_cam = p_base.copy()
-        p_cam[0] -= eye_offset
-        z = p_cam[2]
-        if z < 0.05:
-            return None
-        u_hat = intrinsics.fx * p_cam[0] / z + intrinsics.cx
-        v_hat = intrinsics.fy * p_cam[1] / z + intrinsics.cy
-        j_proj = np.array(
-            [
-                [intrinsics.fx / z, 0.0, -intrinsics.fx * p_cam[0] / z**2],
-                [0.0, intrinsics.fy / z, -intrinsics.fy * p_cam[1] / z**2],
-            ]
-        )
-        h_row = np.zeros((2, state.dim))
-        h_row[:, clone_offset : clone_offset + 3] = j_proj @ d_theta
-        h_row[:, clone_offset + 3 : clone_offset + 6] = j_proj @ d_pos
-        h_row[:, feat_offset : feat_offset + 3] = j_proj @ d_feat
-        rows_h.append(h_row)
-        rows_r.extend([uv[0] - u_hat, uv[1] - v_hat])
-    return np.asarray(rows_r), np.vstack(rows_h)
+    blocks = _window_jacobians(
+        [clone],
+        feature_position,
+        np.array([uv_left, uv_right], dtype=float),
+        intrinsics,
+        baseline_m,
+        r_cam_body,
+    )
+    if blocks is None:
+        return None
+    residual, h_pose, h_f = blocks
+    h = np.zeros((4, state.dim))
+    h[:, clone_offset : clone_offset + CLONE_DIM] = h_pose[0]
+    h[:, feat_offset : feat_offset + LANDMARK_DIM] = h_f[0]
+    return residual, h

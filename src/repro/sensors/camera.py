@@ -163,15 +163,8 @@ class StereoCamera:
             distance = np.linalg.norm(px_left[ids] - center, axis=1)
             ids = ids[np.argsort(distance)[: self.max_features]]
         noise = self._rng.normal(0.0, self.pixel_noise, (len(ids), 4))
-        observations = {
-            int(i): (
-                float(px_left[i, 0] + noise[k, 0]),
-                float(px_left[i, 1] + noise[k, 1]),
-                float(px_right[i, 0] + noise[k, 2]),
-                float(px_right[i, 1] + noise[k, 3]),
-            )
-            for k, i in enumerate(ids)
-        }
+        pixels = np.concatenate([px_left[ids], px_right[ids]], axis=1) + noise
+        observations = dict(zip(ids.tolist(), map(tuple, pixels.tolist())))
         return CameraFrame(timestamp=timestamp, observations=observations, exposure_ms=self.exposure_ms)
 
     def landmark_position(self, feature_id: int) -> Optional[np.ndarray]:

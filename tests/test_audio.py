@@ -290,6 +290,10 @@ def test_encoder_validation():
         AudioEncoder([], block_size=512)
     with pytest.raises(ValueError):
         AudioEncoder([SpeechLikeSource()], block_size=100)
+    # Orders outside 0-3 used to construct and then fail on the first block.
+    for order in (4, -1):
+        with pytest.raises(ValueError):
+            AudioEncoder([SpeechLikeSource()], order=order, block_size=512)
 
 
 def test_playback_renders_stereo_and_tracks_tasks():
@@ -309,6 +313,18 @@ def test_playback_rotation_changes_output():
     turned_pose = Pose(np.zeros(3), quat_from_axis_angle(np.array([0, 0, 1.0]), np.pi / 2))
     turned = AudioPlayback(block_size=512).render_block(soundfield, turned_pose)
     assert not np.allclose(forward, turned)
+
+
+def test_playback_construction_validation():
+    # Zoom mixes W with first-order X, so order 0 cannot render; both of
+    # these used to construct and then fail on the first block.
+    for kwargs in ({"zoom_strength": 1.5}, {"zoom_strength": -1.01}, {"order": 0}, {"order": 4}):
+        with pytest.raises(ValueError):
+            AudioPlayback(block_size=512, **kwargs)
+    for order in (1, 2, 3):
+        playback = AudioPlayback(order=order, block_size=512, zoom_strength=-1.0)
+        stereo = playback.render_block(np.zeros(((order + 1) ** 2, 512)), Pose(np.zeros(3)))
+        assert stereo.shape == (2, 512)
 
 
 def test_playback_shape_validation():
