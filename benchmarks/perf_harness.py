@@ -1,17 +1,19 @@
-"""Before/after benchmark harness for the accelerated hot-path kernels.
+"""Benchmark harness for the hot-path kernels against their references.
 
-Times each rewritten kernel against the reference implementation it
-retains (``accelerated=False``), checks numerical parity, and writes the
-results to ``BENCH_hotpaths.json`` at the repository root — one datapoint
-in the perf trajectory ROADMAP.md asks every PR to extend.
+Times each rewritten kernel against the formulation it was derived from
+(``tests/kernel_oracles.py`` for WGS and TSDF, a linear scan for the
+switchboard), checks numerical parity, measures the disabled
+instrumentation hooks, and writes the results to ``BENCH_hotpaths.json``
+at the repository root.
 
 Kernels covered:
 
 - ``hologram.solve``      — WGS holography (3 planes, 128^2, 10 iterations)
 - ``tsdf.integrate``      — TSDF fusion (96^3 voxels, 80x60 depth camera)
-- ``metrics.ssim``        — SSIM on a 240x320 RGB pair
-- ``metrics.flip``        — FLIP on a 240x320 RGB pair
 - ``switchboard.get_latest_before`` — bisect vs. linear scan over a topic
+
+SSIM and FLIP have one implementation each, so they appear only in the
+disabled-hook overhead table (``metrics.ssim``).
 
 Usage::
 
@@ -35,16 +37,17 @@ import numpy as np
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(REPO_ROOT))  # for tests.kernel_oracles
 
 from repro.core.switchboard import Topic  # noqa: E402
 from repro.maths.se3 import Pose  # noqa: E402
-from repro.metrics.flip import flip  # noqa: E402
 from repro.metrics.ssim import ssim  # noqa: E402
 from repro.perception.reconstruction.tsdf import TsdfVolume  # noqa: E402
 from repro.perf import parallel_map, profile_summary, enable_profiling  # noqa: E402
 from repro.perf import profile as profile_module  # noqa: E402
 from repro.sensors.depth import DepthCamera, DepthScene  # noqa: E402
 from repro.visual.hologram import WeightedGerchbergSaxton  # noqa: E402
+from tests.kernel_oracles import ReferenceWgs, integrate_full_grid  # noqa: E402
 
 
 def _time(fn: Callable[[], object], repeats: int) -> float:
@@ -74,14 +77,14 @@ def bench_hologram(quick: bool, repeats: int) -> Dict[str, object]:
     iterations = 1 if quick else 10
     depths = (0.05, 0.10, 0.20)
     targets = _focal_targets(n, len(depths), seed=7)
-    reference = WeightedGerchbergSaxton(resolution=n, depths_m=depths, accelerated=False)
-    accelerated = WeightedGerchbergSaxton(resolution=n, depths_m=depths, accelerated=True)
+    solver = WeightedGerchbergSaxton(resolution=n, depths_m=depths)
+    reference = ReferenceWgs(solver)
 
     ref_result = reference.solve(targets, iterations=iterations, seed=0)
-    acc_result = accelerated.solve(targets, iterations=iterations, seed=0)
+    acc_result = solver.solve(targets, iterations=iterations, seed=0)
     phase_dev = float(np.abs(acc_result.phase - ref_result.phase).max())
     t_ref = _time(lambda: reference.solve(targets, iterations=iterations, seed=0), repeats)
-    t_acc = _time(lambda: accelerated.solve(targets, iterations=iterations, seed=0), repeats)
+    t_acc = _time(lambda: solver.solve(targets, iterations=iterations, seed=0), repeats)
     return {
         "config": {"resolution": n, "planes": len(depths), "iterations": iterations},
         "reference_ms": t_ref * 1e3,
@@ -112,10 +115,13 @@ def bench_tsdf(quick: bool, repeats: int) -> Dict[str, object]:
     poses = _tsdf_poses(2 if quick else 4)
     frames = [camera.render(p, noisy=False) for p in poses]
 
-    def run(accelerated: bool) -> TsdfVolume:
-        volume = TsdfVolume(resolution=resolution, accelerated=accelerated)
+    def run(culled: bool) -> TsdfVolume:
+        volume = TsdfVolume(resolution=resolution)
         for depth, pose in zip(frames, poses):
-            volume.integrate(depth, pose, camera)
+            if culled:
+                volume.integrate(depth, pose, camera)
+            else:
+                integrate_full_grid(volume, depth, pose, camera)
         return volume
 
     ref_volume = run(False)
@@ -141,56 +147,6 @@ def _metric_pair(quick: bool) -> tuple:
     reference = rng.random(shape)
     test = np.clip(reference + rng.normal(0.0, 0.05, shape), 0.0, 1.0)
     return reference, test
-
-
-def bench_ssim(quick: bool, repeats: int) -> Dict[str, object]:
-    reference, test = _metric_pair(quick)
-    ref_value = ssim(reference, test, accelerated=False)
-    acc_value = ssim(reference, test, accelerated=True)
-    exact = bool(
-        np.array_equal(
-            ssim(reference, test, full=True, accelerated=False),
-            ssim(reference, test, full=True, accelerated=True),
-        )
-    )
-    t_ref = _time(lambda: ssim(reference, test, accelerated=False), repeats)
-    t_acc = _time(lambda: ssim(reference, test, accelerated=True), repeats)
-    return {
-        "config": {"shape": list(reference.shape)},
-        "reference_ms": t_ref * 1e3,
-        "accelerated_ms": t_acc * 1e3,
-        "speedup": t_ref / t_acc,
-        "parity": {
-            "value_deviation": abs(acc_value - ref_value),
-            "map_bit_exact": exact,
-            "ok": exact,
-        },
-    }
-
-
-def bench_flip(quick: bool, repeats: int) -> Dict[str, object]:
-    reference, test = _metric_pair(quick)
-    ref_value = flip(reference, test, accelerated=False)
-    acc_value = flip(reference, test, accelerated=True)
-    exact = bool(
-        np.array_equal(
-            flip(reference, test, full=True, accelerated=False),
-            flip(reference, test, full=True, accelerated=True),
-        )
-    )
-    t_ref = _time(lambda: flip(reference, test, accelerated=False), repeats)
-    t_acc = _time(lambda: flip(reference, test, accelerated=True), repeats)
-    return {
-        "config": {"shape": list(reference.shape)},
-        "reference_ms": t_ref * 1e3,
-        "accelerated_ms": t_acc * 1e3,
-        "speedup": t_ref / t_acc,
-        "parity": {
-            "value_deviation": abs(acc_value - ref_value),
-            "map_bit_exact": exact,
-            "ok": exact,
-        },
-    }
 
 
 def bench_switchboard(quick: bool, repeats: int) -> Dict[str, object]:
@@ -228,10 +184,9 @@ def _hologram_parity_sweep(seed: int) -> float:
     """Max phase deviation for one seeded target set (parallel_map worker)."""
     n, depths = 64, (0.05, 0.12)
     targets = _focal_targets(n, len(depths), seed=seed)
-    reference = WeightedGerchbergSaxton(resolution=n, depths_m=depths, accelerated=False)
-    accelerated = WeightedGerchbergSaxton(resolution=n, depths_m=depths, accelerated=True)
-    ref = reference.solve(targets, iterations=5, seed=seed)
-    acc = accelerated.solve(targets, iterations=5, seed=seed)
+    solver = WeightedGerchbergSaxton(resolution=n, depths_m=depths)
+    ref = ReferenceWgs(solver).solve(targets, iterations=5, seed=seed)
+    acc = solver.solve(targets, iterations=5, seed=seed)
     return float(np.abs(acc.phase - ref.phase).max())
 
 
@@ -267,9 +222,9 @@ def _disabled_hook_cost_s(loops: int = 100_000) -> float:
 
 
 def bench_disabled_overhead(quick: bool, repeats: int) -> Dict[str, object]:
-    """Overhead of disabled instrumentation on the accelerated kernels.
+    """Overhead of disabled instrumentation on the hot-path kernels.
 
-    Every accelerated kernel is wrapped by ``@profiled``; switched off
+    Every hot-path kernel is wrapped by ``@profiled``; switched off
     (the default, and the state of every untraced run) the wrapper is
     one global load and a branch per call.  Reports that per-call hook
     cost as a fraction of each kernel's bare runtime, which CI gates
@@ -286,7 +241,7 @@ def bench_disabled_overhead(quick: bool, repeats: int) -> Dict[str, object]:
         iterations = 1 if quick else 5
         depths = (0.05, 0.10, 0.20)
         targets = _focal_targets(n, len(depths), seed=7)
-        holo = WeightedGerchbergSaxton(resolution=n, depths_m=depths, accelerated=True)
+        holo = WeightedGerchbergSaxton(resolution=n, depths_m=depths)
         bare_solve = type(holo).solve.__wrapped__
         kernel_bare_s = {
             "hologram.solve": _time(
@@ -301,7 +256,7 @@ def bench_disabled_overhead(quick: bool, repeats: int) -> Dict[str, object]:
         bare_integrate = TsdfVolume.integrate.__wrapped__
         kernel_bare_s["tsdf.integrate"] = _time(
             lambda: bare_integrate(
-                TsdfVolume(resolution=resolution, accelerated=True), frame, pose, camera
+                TsdfVolume(resolution=resolution), frame, pose, camera
             ),
             reps,
         )
@@ -309,7 +264,7 @@ def bench_disabled_overhead(quick: bool, repeats: int) -> Dict[str, object]:
         reference, test = _metric_pair(quick)
         bare_ssim = ssim.__wrapped__
         kernel_bare_s["metrics.ssim"] = _time(
-            lambda: bare_ssim(reference, test, accelerated=True), reps
+            lambda: bare_ssim(reference, test), reps
         )
     finally:
         profile_module.enable_profiling(was_enabled)
@@ -329,8 +284,6 @@ def bench_disabled_overhead(quick: bool, repeats: int) -> Dict[str, object]:
 BENCHES = {
     "hologram.solve": bench_hologram,
     "tsdf.integrate": bench_tsdf,
-    "metrics.ssim": bench_ssim,
-    "metrics.flip": bench_flip,
     "switchboard.get_latest_before": bench_switchboard,
 }
 
@@ -407,7 +360,7 @@ def main(argv: List[str] | None = None) -> int:
 
     parity_ok = sweep_ok and all(entry["parity"]["ok"] for entry in results.values())
     if not parity_ok:
-        print("PARITY FAILURE: accelerated kernels deviate from reference", file=sys.stderr)
+        print("PARITY FAILURE: kernels deviate from their references", file=sys.stderr)
         return 1
     if args.gate_overhead is not None:
         over = {

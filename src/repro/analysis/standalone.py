@@ -147,6 +147,7 @@ def characterize_reprojection(frames: int = 24, seed: int = 0) -> TaskBreakdown:
     """
     from repro.maths.quaternion import quat_from_axis_angle, quat_multiply
     from repro.maths.se3 import Pose
+    from repro.perf import TaskTimer
     from repro.visual.distortion import apply_lens_correction, mesh_warp_coordinates
     from repro.visual.renderer import RenderCamera, Renderer
     from repro.visual.reprojection import rotational_reproject
@@ -156,33 +157,30 @@ def characterize_reprojection(frames: int = 24, seed: int = 0) -> TaskBreakdown:
     renderer = Renderer(scene_by_name("sponza"), camera)
     k = camera.intrinsic_matrix()
     rng = np.random.default_rng(seed)
-    tasks = {"fbo": 0.0, "opengl_state": 0.0, "reprojection": 0.0}
+    tasks = TaskTimer("timewarp", ("fbo", "opengl_state", "reprojection"))
     frame_times: List[float] = []
     pose = Pose(np.array([0.0, 0.0, 1.7]))
     rendered = renderer.render(pose)
     for _ in range(frames):
         start = time.perf_counter()
-        t0 = time.perf_counter()
-        target = np.zeros_like(rendered.image)  # framebuffer bind + clear
-        tasks["fbo"] += time.perf_counter() - t0
+        with tasks("fbo"):
+            target = np.zeros_like(rendered.image)  # framebuffer bind + clear
         delta = quat_from_axis_angle(rng.normal(0, 1, 3), rng.uniform(0.005, 0.04))
         display_pose = Pose(
             pose.position + rng.normal(0, 0.01, 3),
             quat_multiply(delta, pose.orientation),
         )
-        t0 = time.perf_counter()
-        # Per-eye warp setup: distortion meshes (the state/driver work).
-        mesh_warp_coordinates(camera.width, camera.height, -0.12, -0.04, mesh_step=16)
-        mesh_warp_coordinates(camera.width, camera.height, -0.12, -0.04, mesh_step=16)
-        tasks["opengl_state"] += time.perf_counter() - t0
-        t0 = time.perf_counter()
-        warped = rotational_reproject(rendered.image, k, pose, display_pose)
-        target[:] = apply_lens_correction(warped)
-        tasks["reprojection"] += time.perf_counter() - t0
+        with tasks("opengl_state"):
+            # Per-eye warp setup: distortion meshes (the state/driver work).
+            mesh_warp_coordinates(camera.width, camera.height, -0.12, -0.04, mesh_step=16)
+            mesh_warp_coordinates(camera.width, camera.height, -0.12, -0.04, mesh_step=16)
+        with tasks("reprojection"):
+            warped = rotational_reproject(rendered.image, k, pose, display_pose)
+            target[:] = apply_lens_correction(warped)
         frame_times.append(time.perf_counter() - start)
     return TaskBreakdown(
         component="timewarp",
-        task_seconds=tasks,
+        task_seconds=tasks.times,
         frames=frames,
         mean_frame_ms=float(np.mean(frame_times)) * 1e3,
         extras={},

@@ -9,14 +9,15 @@ Task accounting mirrors Table VII's audio-encoding rows:
 
 from __future__ import annotations
 
-import time
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, List, Protocol, Tuple
 
 import numpy as np
 
 from repro.audio.ambisonics import ambisonic_channels, real_sh_matrix
+from repro.perf import TaskTimer
+
+TASK_NAMES = ("normalization", "encoding", "summation")
 
 # Distinct source directions whose SH gains an encoder keeps.
 _GAIN_CACHE_SIZE = 64
@@ -47,7 +48,7 @@ class AudioEncoder:
             raise ValueError(f"order must be in [0, 3]: {self.order}")
         if not 256 <= self.block_size <= 2048:
             raise ValueError(f"block size out of range: {self.block_size}")
-        self.task_times: Dict[str, float] = defaultdict(float)
+        self._timer = TaskTimer("audio_encoding", TASK_NAMES)
         self._gains: Dict[Tuple[float, float, float], np.ndarray] = {}
 
     @property
@@ -71,20 +72,17 @@ class AudioEncoder:
         for source in self.sources:
             raw = source.block(self.block_size)
 
-            t0 = time.perf_counter()
-            normalized = raw.astype(np.float32) / 32768.0
-            self.task_times["normalization"] += time.perf_counter() - t0
+            with self._timer("normalization"):
+                normalized = raw.astype(np.float32) / 32768.0
 
             px, py, pz = np.asarray(source.position, dtype=float).tolist()
             direction = (px - lx, py - ly, pz - lz)
 
-            t0 = time.perf_counter()
-            encoded = np.outer(self._direction_gains(direction), normalized)
-            self.task_times["encoding"] += time.perf_counter() - t0
+            with self._timer("encoding"):
+                encoded = np.outer(self._direction_gains(direction), normalized)
 
-            t0 = time.perf_counter()
-            soundfield += encoded
-            self.task_times["summation"] += time.perf_counter() - t0
+            with self._timer("summation"):
+                soundfield += encoded
         return soundfield
 
     def _direction_gains(self, direction: Tuple[float, float, float]) -> np.ndarray:
@@ -108,4 +106,4 @@ class AudioEncoder:
 
     def task_breakdown(self) -> Dict[str, float]:
         """Accumulated seconds per Table VII task."""
-        return {k: self.task_times.get(k, 0.0) for k in ("normalization", "encoding", "summation")}
+        return dict(self._timer.times)

@@ -11,8 +11,6 @@ Task accounting mirrors Table VII's audio-playback rows:
 
 from __future__ import annotations
 
-import time
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -22,6 +20,9 @@ from repro.audio.hrtf import HrtfSet
 from repro.audio.rotation import rotate_soundfield, zoom_soundfield
 from repro.maths.quaternion import quat_to_matrix
 from repro.maths.se3 import Pose
+from repro.perf import TaskTimer
+
+TASK_NAMES = ("psychoacoustic_filter", "rotation", "zoom", "binauralization")
 
 
 @dataclass
@@ -49,7 +50,7 @@ class AudioPlayback:
                 order=self.order,
                 fft_size=max(2048, 2 * self.block_size),
             )
-        self.task_times: Dict[str, float] = defaultdict(float)
+        self._timer = TaskTimer("audio_playback", TASK_NAMES)
         self._filter_gain = self._build_psychoacoustic_filter()
 
     def _build_psychoacoustic_filter(self) -> np.ndarray:
@@ -68,28 +69,23 @@ class AudioPlayback:
                 f"soundfield shape {soundfield.shape} != ({expected}, {self.block_size})"
             )
 
-        t0 = time.perf_counter()
-        spectra = np.fft.rfft(soundfield, axis=1)
-        spectra *= self._filter_gain[None, :]
-        filtered = np.fft.irfft(spectra, n=self.block_size, axis=1)
-        self.task_times["psychoacoustic_filter"] += time.perf_counter() - t0
+        with self._timer("psychoacoustic_filter"):
+            spectra = np.fft.rfft(soundfield, axis=1)
+            spectra *= self._filter_gain[None, :]
+            filtered = np.fft.irfft(spectra, n=self.block_size, axis=1)
 
-        t0 = time.perf_counter()
-        # World -> head: rotate sources by the inverse head rotation.
-        rotation = quat_to_matrix(head_pose.orientation).T
-        rotated = rotate_soundfield(filtered, self.order, rotation)
-        self.task_times["rotation"] += time.perf_counter() - t0
+        with self._timer("rotation"):
+            # World -> head: rotate sources by the inverse head rotation.
+            rotation = quat_to_matrix(head_pose.orientation).T
+            rotated = rotate_soundfield(filtered, self.order, rotation)
 
-        t0 = time.perf_counter()
-        zoomed = zoom_soundfield(rotated, self.zoom_strength)
-        self.task_times["zoom"] += time.perf_counter() - t0
+        with self._timer("zoom"):
+            zoomed = zoom_soundfield(rotated, self.zoom_strength)
 
-        t0 = time.perf_counter()
-        stereo, self._tail = self.hrtf.binauralize_block(zoomed, self._tail)
-        self.task_times["binauralization"] += time.perf_counter() - t0
+        with self._timer("binauralization"):
+            stereo, self._tail = self.hrtf.binauralize_block(zoomed, self._tail)
         return stereo
 
     def task_breakdown(self) -> Dict[str, float]:
         """Accumulated seconds per Table VII task."""
-        names = ("psychoacoustic_filter", "rotation", "zoom", "binauralization")
-        return {k: self.task_times.get(k, 0.0) for k in names}
+        return dict(self._timer.times)

@@ -175,7 +175,7 @@ class Runtime:
         app_name: str,
         plugins: List[Plugin],
         trajectory: TrajectorySpline,
-        timing: Optional[TimingModel] = None,
+        timing: TimingModel,
         dilation: Optional[Dict[str, float]] = None,
         fault_plan=None,
         supervision=None,
@@ -190,7 +190,7 @@ class Runtime:
         self.switchboard = Switchboard()
         self.phonebook = Phonebook()
         self.logger = RecordLogger()
-        self.timing = timing or TimingModel(platform, seed=config.seed)
+        self.timing = timing
         # Resilience layer (repro.resilience): a fault plan implies
         # supervision (chaos without a supervisor would just crash the
         # engine); with neither, every hook stays on its zero-cost path.

@@ -12,14 +12,6 @@ simplifications: CSF filtering uses Gaussian approximations of the
 achromatic/chromatic CSFs, and the perceptual color space is YCxCz-like
 opponent built from linearized sRGB.  The paper reports 1-FLIP so larger
 is better; :func:`one_minus_flip` matches that convention.
-
-The accelerated path (default) batches every Gaussian filter over the
-reference/test *pair*: the two images are stacked along a leading sigma-0
-axis so each CSF band and each derivative filter costs one call instead of
-two.  (The three CSF channels use *different* sigmas, so they cannot share
-one call without changing the metric.)  A sigma-0 axis applies the
-identity kernel, making the batched filters bit-identical to the
-per-image reference path, which remains available via ``accelerated=False``.
 """
 
 from __future__ import annotations
@@ -63,22 +55,6 @@ def _csf_filter(opponent: np.ndarray, ppd: float) -> np.ndarray:
     return out
 
 
-def _csf_filter_pair(
-    opp_a: np.ndarray, opp_b: np.ndarray, ppd: float
-) -> Tuple[np.ndarray, np.ndarray]:
-    """CSF-filter both images at once: one batched call per channel."""
-    scale = ppd / DEFAULT_PIXELS_PER_DEGREE
-    out_a = np.empty_like(opp_a)
-    out_b = np.empty_like(opp_b)
-    for c, sigma in enumerate(_CSF_SIGMAS):
-        pair = np.stack([opp_a[..., c], opp_b[..., c]])
-        effective = sigma * max(scale, 0.25)
-        filtered = gaussian_filter(pair, (0.0, effective, effective))
-        out_a[..., c] = filtered[0]
-        out_b[..., c] = filtered[1]
-    return out_a, out_b
-
-
 def _hyab(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Hue-angle-aware HyAB distance in the opponent space."""
     diff = a - b
@@ -95,34 +71,12 @@ def _edges_points(y: np.ndarray, sigma: float) -> Tuple[np.ndarray, np.ndarray]:
     return edge, point
 
 
-def _edges_points_pair(
-    ref_y: np.ndarray, test_y: np.ndarray, sigma: float
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Edge/point responses for both images: each derivative batched."""
-    pair = np.stack([ref_y, test_y])
-    sigmas = (0.0, sigma, sigma)
-    gx = gaussian_filter(pair, sigmas, order=(0, 0, 1))
-    gy = gaussian_filter(pair, sigmas, order=(0, 1, 0))
-    edge = np.hypot(gx, gy)
-    gxx = gaussian_filter(pair, sigmas, order=(0, 0, 2))
-    gyy = gaussian_filter(pair, sigmas, order=(0, 2, 0))
-    point = np.abs(gxx + gyy)
-    return edge[0], point[0], edge[1], point[1]
-
-
-def _feature_difference(
-    ref_y: np.ndarray, test_y: np.ndarray, ppd: float, accelerated: bool = True
-) -> np.ndarray:
+def _feature_difference(ref_y: np.ndarray, test_y: np.ndarray, ppd: float) -> np.ndarray:
     """Edge + point feature differences on the achromatic channel."""
     sigma = 0.5 * ppd / DEFAULT_PIXELS_PER_DEGREE + 0.25
 
-    if accelerated:
-        edge_ref, point_ref, edge_test, point_test = _edges_points_pair(
-            ref_y, test_y, sigma
-        )
-    else:
-        edge_ref, point_ref = _edges_points(ref_y, sigma)
-        edge_test, point_test = _edges_points(test_y, sigma)
+    edge_ref, point_ref = _edges_points(ref_y, sigma)
+    edge_test, point_test = _edges_points(test_y, sigma)
     edge_diff = np.abs(edge_ref - edge_test)
     point_diff = np.abs(point_ref - point_test)
     # Normalize each by a soft maximum so the result lands in [0, 1].
@@ -140,7 +94,6 @@ def flip(
     test: np.ndarray,
     pixels_per_degree: float = DEFAULT_PIXELS_PER_DEGREE,
     full: bool = False,
-    accelerated: bool = True,
 ):
     """Mean FLIP error in [0, 1] (0 = identical images).
 
@@ -152,25 +105,18 @@ def flip(
         raise ValueError(f"shape mismatch: {reference.shape} vs {test.shape}")
     if reference.ndim != 3 or reference.shape[2] != 3:
         raise ValueError(f"expected (H, W, 3) images, got {reference.shape}")
-    if pixels_per_degree <= 0:
-        raise ValueError("pixels_per_degree must be positive")
+    if not 0 < pixels_per_degree < np.inf:
+        raise ValueError(f"pixels_per_degree must be positive and finite: {pixels_per_degree}")
 
-    if accelerated:
-        opp_ref, opp_test = _csf_filter_pair(
-            _to_opponent(reference), _to_opponent(test), pixels_per_degree
-        )
-    else:
-        opp_ref = _csf_filter(_to_opponent(reference), pixels_per_degree)
-        opp_test = _csf_filter(_to_opponent(test), pixels_per_degree)
+    opp_ref = _csf_filter(_to_opponent(reference), pixels_per_degree)
+    opp_test = _csf_filter(_to_opponent(test), pixels_per_degree)
     color_diff = _hyab(opp_ref, opp_test)
     # Map HyAB distance to [0, 1) with an exponential soft knee (the
     # published metric uses a calibrated power remap; the knee constant is
     # chosen so a full black<->white flip maps to ~0.95).
     color_error = 1.0 - np.exp(-3.0 * color_diff)
 
-    feature_error = _feature_difference(
-        opp_ref[..., 0], opp_test[..., 0], pixels_per_degree, accelerated=accelerated
-    )
+    feature_error = _feature_difference(opp_ref[..., 0], opp_test[..., 0], pixels_per_degree)
 
     # FLIP's merge: color error amplified where feature differences exist.
     error = color_error ** (1.0 - feature_error)

@@ -3,18 +3,8 @@
 The standard formulation: an 11x11 Gaussian window (sigma 1.5), stability
 constants C1 = (0.01 L)^2 and C2 = (0.03 L)^2, mean SSIM over the image.
 Color images are averaged over channels (as the paper's analysis scripts
-do for the Table V numbers).
-
-The accelerated path (default) stacks the five filtered fields (mu_x,
-mu_y, E[x^2], E[y^2], E[xy]) into one array and issues a **single**
-``gaussian_filter`` call per image (per channel for color inputs) with
-sigma 0 on the stack axis.  A sigma-0 axis is filtered with the identity
-kernel, so every slice receives exactly the arithmetic of the per-channel
-reference path and the result is bit-identical (asserted by the parity
-tests).  Color channels are batched per channel rather than as one 4-D
-stack: a (5, H, W, C) array exceeds cache and filters along strided
-lines, which measures *slower* than five 2-D calls on small images.
-``accelerated=False`` selects the original per-channel recursion.
+do for the Table V numbers).  Each channel costs five ``gaussian_filter``
+calls, one per filtered field (mu_x, mu_y, E[x^2], E[y^2], E[xy]).
 """
 
 from __future__ import annotations
@@ -27,11 +17,13 @@ from repro.perf import profiled
 _TRUNCATE = 3.5  # ~11x11 support at sigma=1.5
 
 
-def _validate(reference: np.ndarray, test: np.ndarray, data_range: float) -> None:
+def _validate(reference: np.ndarray, test: np.ndarray, data_range: float, sigma: float) -> None:
     if reference.shape != test.shape:
         raise ValueError(f"shape mismatch: {reference.shape} vs {test.shape}")
-    if data_range <= 0:
-        raise ValueError("data_range must be positive")
+    if not 0 < data_range < np.inf:
+        raise ValueError(f"data_range must be positive and finite: {data_range}")
+    if not 0 <= sigma < np.inf:
+        raise ValueError(f"sigma must be non-negative and finite: {sigma}")
     if reference.ndim not in (2, 3):
         raise ValueError(f"expected 2-D or 3-D image, got shape {reference.shape}")
 
@@ -43,7 +35,6 @@ def ssim(
     data_range: float = 1.0,
     sigma: float = 1.5,
     full: bool = False,
-    accelerated: bool = True,
 ):
     """Mean SSIM between two images in [0, data_range].
 
@@ -52,57 +43,21 @@ def ssim(
     """
     reference = np.asarray(reference, dtype=float)
     test = np.asarray(test, dtype=float)
-    _validate(reference, test, data_range)
-    if not accelerated:
-        return _ssim_reference(reference, test, data_range, sigma, full)
-    if reference.ndim == 3:
-        maps = [
-            ssim(
-                np.ascontiguousarray(reference[..., c]),
-                np.ascontiguousarray(test[..., c]),
-                data_range,
-                sigma,
-                full=True,
-                accelerated=True,
-            )
-            for c in range(reference.shape[2])
-        ]
-        stacked = np.stack(maps, axis=-1)
-        return stacked if full else float(stacked.mean())
-
-    c1 = (0.01 * data_range) ** 2
-    c2 = (0.03 * data_range) ** 2
-
-    # One batched filter call: the five fields stacked on a sigma-0 axis.
-    stack = np.stack(
-        [reference, test, reference * reference, test * test, reference * test]
-    )
-    filtered = gaussian_filter(stack, (0.0, sigma, sigma), truncate=_TRUNCATE)
-    mu_x, mu_y = filtered[0], filtered[1]
-    mu_x2 = mu_x * mu_x
-    mu_y2 = mu_y * mu_y
-    mu_xy = mu_x * mu_y
-    sigma_x2 = filtered[2] - mu_x2
-    sigma_y2 = filtered[3] - mu_y2
-    sigma_xy = filtered[4] - mu_xy
-
-    numerator = (2 * mu_xy + c1) * (2 * sigma_xy + c2)
-    denominator = (mu_x2 + mu_y2 + c1) * (sigma_x2 + sigma_y2 + c2)
-    ssim_map = numerator / denominator
-    return ssim_map if full else float(ssim_map.mean())
+    _validate(reference, test, data_range, sigma)
+    return _ssim(reference, test, data_range, sigma, full)
 
 
-def _ssim_reference(
+def _ssim(
     reference: np.ndarray,
     test: np.ndarray,
     data_range: float,
     sigma: float,
     full: bool,
 ):
-    """Original implementation: per-channel recursion, five filter calls."""
+    """Per-channel recursion, five filter calls per channel."""
     if reference.ndim == 3:
         maps = [
-            _ssim_reference(reference[..., c], test[..., c], data_range, sigma, full=True)
+            _ssim(reference[..., c], test[..., c], data_range, sigma, full=True)
             for c in range(reference.shape[2])
         ]
         stacked = np.stack(maps, axis=-1)

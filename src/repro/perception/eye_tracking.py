@@ -13,14 +13,15 @@ Task accounting mirrors the paper's §IV-B2 eye-tracking profile:
 
 from __future__ import annotations
 
-import time
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 import numpy as np
 
+from repro.perf import TaskTimer
 from repro.sensors.eye import EyeImageGenerator, EyeSample
+
+TASK_NAMES = ("convolution", "batch_copy", "activation", "misc")
 
 
 def _im2col(x: np.ndarray, kernel: int) -> np.ndarray:
@@ -104,29 +105,25 @@ class EyeTracker:
             ConvLayer.create(8, 8, 3, rng),
             ConvLayer.create(8, 1, 1, rng),
         ]
-        self.task_times: Dict[str, float] = defaultdict(float)
+        self._timer = TaskTimer("eye_tracking", TASK_NAMES)
         self.trained = False
 
     # ------------------------------------------------------------------
 
-    def _forward(self, batch: np.ndarray, record_tasks: bool = False):
-        """Forward pass; returns (probabilities, caches for backward)."""
+    def _activation(self, i: int, out: np.ndarray) -> np.ndarray:
+        """ReLU after the hidden layers, sigmoid after the last."""
+        if i < len(self.layers) - 1:
+            return np.maximum(out, 0.0)
+        return 1.0 / (1.0 + np.exp(-out))
+
+    def _forward(self, batch: np.ndarray):
+        """Training forward pass; returns (probabilities, caches for backward)."""
         x = batch
         caches = []
         for i, layer in enumerate(self.layers):
-            t0 = time.perf_counter()
             out, cols = layer.forward(x)
-            if record_tasks:
-                self.task_times["convolution"] += time.perf_counter() - t0
-            t0 = time.perf_counter()
-            if i < len(self.layers) - 1:
-                activated = np.maximum(out, 0.0)
-            else:
-                activated = 1.0 / (1.0 + np.exp(-out))
-            if record_tasks:
-                self.task_times["activation"] += time.perf_counter() - t0
             caches.append((x.shape, cols, out))
-            x = activated
+            x = self._activation(i, out)
         return x[:, 0], caches  # (N, H, W) probabilities
 
     def predict(self, images: np.ndarray) -> EyeTrackingResult:
@@ -134,20 +131,23 @@ class EyeTracker:
         images = np.asarray(images, dtype=float)
         if images.ndim == 2:
             images = images[None]
-        t0 = time.perf_counter()
-        batch = images[:, None].copy()  # host->device batch copy stand-in
-        self.task_times["batch_copy"] += time.perf_counter() - t0
-        probs, _ = self._forward(batch, record_tasks=True)
-        t0 = time.perf_counter()
-        masks = probs > 0.5
-        gaze = np.zeros((len(masks), 2))
-        h, w = masks.shape[1:]
-        for i, mask in enumerate(masks):
-            ys, xs = np.nonzero(mask)
-            if len(xs) > 0:
-                gaze[i, 0] = (xs.mean() - w / 2) / (w * 0.22)
-                gaze[i, 1] = (ys.mean() - h / 2) / (h * 0.22)
-        self.task_times["misc"] += time.perf_counter() - t0
+        with self._timer("batch_copy"):
+            x = images[:, None].copy()  # host->device batch copy stand-in
+        for i, layer in enumerate(self.layers):
+            with self._timer("convolution"):
+                out, _cols = layer.forward(x)
+            with self._timer("activation"):
+                x = self._activation(i, out)
+        probs = x[:, 0]
+        with self._timer("misc"):
+            masks = probs > 0.5
+            gaze = np.zeros((len(masks), 2))
+            h, w = masks.shape[1:]
+            for i, mask in enumerate(masks):
+                ys, xs = np.nonzero(mask)
+                if len(xs) > 0:
+                    gaze[i, 0] = (xs.mean() - w / 2) / (w * 0.22)
+                    gaze[i, 1] = (ys.mean() - h / 2) / (h * 0.22)
         return EyeTrackingResult(masks=masks, gaze=gaze, probabilities=probs)
 
     # ------------------------------------------------------------------
@@ -219,8 +219,7 @@ class EyeTracker:
 
     def task_breakdown(self) -> Dict[str, float]:
         """Accumulated seconds per task (paper: conv 74 %, copies 19 %)."""
-        names = ("convolution", "batch_copy", "activation", "misc")
-        return {k: self.task_times.get(k, 0.0) for k in names}
+        return dict(self._timer.times)
 
     def weight_bytes(self) -> int:
         """Model size in bytes (the paper notes RITnet is ~1 MB)."""

@@ -16,7 +16,6 @@ happen -- the behaviour §IV-B1 reports for ElasticFusion.
 from __future__ import annotations
 
 import time
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -28,6 +27,7 @@ from repro.perception.reconstruction.icp import IcpResult, icp_point_to_plane
 from repro.perception.reconstruction.keyframes import KeyframeDatabase
 from repro.perception.reconstruction.raycast import RaycastResult, raycast
 from repro.perception.reconstruction.tsdf import TsdfVolume
+from repro.perf import TaskTimer
 from repro.sensors.depth import DepthCamera
 
 TASK_NAMES = (
@@ -71,7 +71,7 @@ class ReconstructionPipeline:
         self.enable_loop_closure = enable_loop_closure
         self.keyframes = KeyframeDatabase()
         self.loop_closures = 0
-        self.task_times: Dict[str, float] = defaultdict(float)
+        self._timer = TaskTimer("reconstruction", TASK_NAMES)
         self.frame_times: List[float] = []
         self._model: Optional[RaycastResult] = None
         self._model_pose: Optional[Pose] = None
@@ -80,53 +80,49 @@ class ReconstructionPipeline:
         """Track against the model and fuse one depth frame."""
         frame_start = time.perf_counter()
 
-        t0 = time.perf_counter()
-        filtered = self._camera_processing(depth)
-        self.task_times["camera_processing"] += time.perf_counter() - t0
+        with self._timer("camera_processing"):
+            filtered = self._camera_processing(depth)
 
-        t0 = time.perf_counter()
-        # Vertex/normal maps are computed inside ICP and raycast; this stage
-        # models the standalone pre-computation of the current frame's maps.
-        _vertex_map = self.camera._rays_cam * filtered[..., None]
-        _normals = self._normals_from_depth(filtered)
-        self.task_times["image_processing"] += time.perf_counter() - t0
+        with self._timer("image_processing"):
+            # Vertex/normal maps are computed inside ICP and raycast; this
+            # stage models the standalone pre-computation of the current
+            # frame's maps.
+            _vertex_map = self.camera._rays_cam * filtered[..., None]
+            _normals = self._normals_from_depth(filtered)
 
         icp_result: Optional[IcpResult] = None
         estimated = pose_guess
         if self._model is not None and self._model_pose is not None:
-            t0 = time.perf_counter()
-            icp_result = icp_point_to_plane(
-                filtered, self.camera, pose_guess, self._model, self._model_pose
-            )
-            estimated = icp_result.pose
-            self.task_times["pose_estimation"] += time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        voxels = self.volume.integrate(filtered, estimated, self.camera)
-        # Loop closure (§IV-B1): a keyframe match triggers the global
-        # consistency pass -- realign against the matched view and
-        # re-integrate the stored keyframes.  This is the order-of-
-        # magnitude execution-time spike the paper observes.
-        loop_closed = False
-        if self.enable_loop_closure:
-            match, _stored = self.keyframes.observe(filtered, estimated)
-            if match is not None:
-                loop_closed = True
-                self.loop_closures += 1
-                match_view = raycast(self.volume, match.pose, self.camera)
-                realigned = icp_point_to_plane(
-                    filtered, self.camera, estimated, match_view, match.pose
+            with self._timer("pose_estimation"):
+                icp_result = icp_point_to_plane(
+                    filtered, self.camera, pose_guess, self._model, self._model_pose
                 )
-                estimated = realigned.pose
-                for keyframe in self.keyframes.keyframes:
-                    self.volume.integrate(keyframe.depth, keyframe.pose, self.camera)
-                voxels += self.volume.integrate(filtered, estimated, self.camera)
-        self.task_times["map_fusion"] += time.perf_counter() - t0
+                estimated = icp_result.pose
 
-        t0 = time.perf_counter()
-        self._model = raycast(self.volume, estimated, self.camera)
-        self._model_pose = estimated
-        self.task_times["surfel_prediction"] += time.perf_counter() - t0
+        with self._timer("map_fusion"):
+            voxels = self.volume.integrate(filtered, estimated, self.camera)
+            # Loop closure (§IV-B1): a keyframe match triggers the global
+            # consistency pass -- realign against the matched view and
+            # re-integrate the stored keyframes.  This is the order-of-
+            # magnitude execution-time spike the paper observes.
+            loop_closed = False
+            if self.enable_loop_closure:
+                match, _stored = self.keyframes.observe(filtered, estimated)
+                if match is not None:
+                    loop_closed = True
+                    self.loop_closures += 1
+                    match_view = raycast(self.volume, match.pose, self.camera)
+                    realigned = icp_point_to_plane(
+                        filtered, self.camera, estimated, match_view, match.pose
+                    )
+                    estimated = realigned.pose
+                    for keyframe in self.keyframes.keyframes:
+                        self.volume.integrate(keyframe.depth, keyframe.pose, self.camera)
+                    voxels += self.volume.integrate(filtered, estimated, self.camera)
+
+        with self._timer("surfel_prediction"):
+            self._model = raycast(self.volume, estimated, self.camera)
+            self._model_pose = estimated
 
         frame_time = time.perf_counter() - frame_start
         self.frame_times.append(frame_time)
@@ -168,4 +164,4 @@ class ReconstructionPipeline:
 
     def task_breakdown(self) -> Dict[str, float]:
         """Accumulated seconds per Table VI stage."""
-        return {k: self.task_times.get(k, 0.0) for k in TASK_NAMES}
+        return dict(self._timer.times)

@@ -6,24 +6,20 @@ weight.  Depth frames are fused by projective association: every voxel
 projects into the camera, compares its depth to the measured depth, and
 blends the truncated difference into its stored value.
 
-Two fusion paths coexist (selected by the ``accelerated`` flag):
+Fusion pre-chunks the grid into cubic voxel blocks at construction and
+frustum-culls whole blocks against the camera before projecting: a block
+whose bounding sphere lies behind the near plane or outside any of the
+four image-edge planes cannot contain a voxel that projects into the depth
+image, so only the surviving blocks (typically ~10% of the volume for a
+70-degree FOV camera inside the workspace) are gathered and projected.
+The per-voxel arithmetic on surviving voxels is that of projecting *all*
+``N^3`` voxel centers, so the fused grid is **bit-exact** against the
+full-grid formulation kept in ``tests/kernel_oracles.py`` -- the parity
+tests assert array equality, and ``benchmarks/perf_harness.py`` measures
+the speedup.
 
-- the **reference** path projects *all* ``N^3`` voxel centers into the
-  camera every frame and carries a dozen full-grid temporaries through the
-  update;
-- the **accelerated** path pre-chunks the grid into cubic voxel blocks at
-  construction and frustum-culls whole blocks against the camera before
-  projecting: a block whose bounding sphere lies behind the near plane or
-  outside any of the four image-edge planes cannot contain a voxel that
-  projects into the depth image, so only the surviving blocks (typically
-  ~10% of the volume for a 70-degree FOV camera inside the workspace) are
-  gathered and projected.  The per-voxel arithmetic on surviving voxels is
-  identical to the reference, so the fused grid is **bit-exact** — the
-  parity tests assert array equality, and ``benchmarks/perf_harness.py``
-  measures the speedup (>= 2x required on the 96^3 acceptance config).
-
-The grid itself stays float32 end-to-end; the culled path sizes every
-per-frame temporary to the surviving-voxel count instead of the full grid.
+The grid itself stays float32 end-to-end; every per-frame temporary is
+sized to the surviving-voxel count instead of the full grid.
 """
 
 from __future__ import annotations
@@ -38,6 +34,9 @@ from repro.maths.se3 import Pose
 from repro.perf import profiled
 from repro.sensors.depth import DepthCamera
 
+# Voxels per cull-block edge; blocks at the far grid edges may be smaller.
+_BLOCK_EDGE = 8
+
 
 @dataclass
 class TsdfVolume:
@@ -48,16 +47,16 @@ class TsdfVolume:
     origin: np.ndarray = field(default_factory=lambda: np.array([-4.0, -4.0, -1.0]))
     truncation_m: float = 0.15
     max_weight: float = 64.0
-    accelerated: bool = True
-    block_edge: int = 8            # voxels per cull-block edge
 
     def __post_init__(self) -> None:
         if self.resolution < 8:
             raise ValueError(f"resolution too small: {self.resolution}")
-        if self.truncation_m <= 0:
-            raise ValueError("truncation must be positive")
-        if self.block_edge < 2:
-            raise ValueError(f"block edge too small: {self.block_edge}")
+        if not 0 < self.extent_m < np.inf:
+            raise ValueError(f"extent must be positive and finite: {self.extent_m}")
+        if not 0 < self.truncation_m < np.inf:
+            raise ValueError(f"truncation must be positive and finite: {self.truncation_m}")
+        if not self.max_weight >= 1:
+            raise ValueError(f"max weight must be at least 1: {self.max_weight}")
         n = self.resolution
         self.voxel_size = self.extent_m / n
         self.tsdf = np.ones((n, n, n), dtype=np.float32)
@@ -76,7 +75,7 @@ class TsdfVolume:
         bounding sphere (center, radius over the *voxel centers*) and voxel
         count per block.
         """
-        n, edge = self.resolution, self.block_edge
+        n, edge = self.resolution, _BLOCK_EDGE
         n_blocks = -(-n // edge)  # ceil division; edge blocks may be smaller
         grid_index = np.arange(n**3, dtype=np.int64).reshape(n, n, n)
         centers_grid = self._centers.reshape(n, n, n, 3)
@@ -107,17 +106,6 @@ class TsdfVolume:
         """Fraction of voxels that have received any observation."""
         return float((self.weight > 0).mean())
 
-    @profiled("tsdf.integrate")
-    def integrate(self, depth: np.ndarray, pose: Pose, camera: DepthCamera) -> int:
-        """Fuse one depth frame taken from ``pose``; returns voxels updated."""
-        if self.accelerated:
-            return self._integrate_culled(depth, pose, camera)
-        return self._integrate_reference(depth, pose, camera)
-
-    # ------------------------------------------------------------------
-    # Accelerated path: frustum-cull voxel blocks, then project survivors.
-    # ------------------------------------------------------------------
-
     def _camera_pose_to_extrinsics(
         self, pose: Pose, camera: DepthCamera
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -131,8 +119,8 @@ class TsdfVolume:
 
         The cull is conservative: a block is kept unless its bounding
         sphere lies entirely behind the near plane or outside one of the
-        four image-edge planes (with one pixel of slack), so no voxel the
-        reference path would fuse is ever dropped.
+        four image-edge planes (with one pixel of slack), so no voxel that
+        projects into the image is ever dropped.
         """
         r_cw, t = self._camera_pose_to_extrinsics(pose, camera)
         block_cam = self._block_centers @ r_cw.T + t
@@ -149,7 +137,9 @@ class TsdfVolume:
             keep &= block_cam @ plane > -radii
         return self._block_perm[np.repeat(keep, self._block_sizes)]
 
-    def _integrate_culled(self, depth: np.ndarray, pose: Pose, camera: DepthCamera) -> int:
+    @profiled("tsdf.integrate")
+    def integrate(self, depth: np.ndarray, pose: Pose, camera: DepthCamera) -> int:
+        """Fuse one depth frame taken from ``pose``; returns voxels updated."""
         selected = self._visible_voxels(pose, camera)
         if len(selected) == 0:
             return 0
@@ -189,49 +179,6 @@ class TsdfVolume:
         ) / np.maximum(w_new, 1.0)
         flat_weight[fused_idx] = w_new
         return int(fuse.sum())
-
-    # ------------------------------------------------------------------
-    # Reference path: project the full grid (kept for parity/benchmarks).
-    # ------------------------------------------------------------------
-
-    def _integrate_reference(self, depth: np.ndarray, pose: Pose, camera: DepthCamera) -> int:
-        r_wb = quat_to_matrix(pose.orientation)
-        r_cw = camera._r_cam_body @ r_wb.T
-        t = -r_cw @ pose.position
-        cam = self._centers @ r_cw.T + t
-        z = cam[:, 2]
-        in_front = z > 1e-3
-        u = np.full(len(z), -1.0)
-        v = np.full(len(z), -1.0)
-        zs = np.where(in_front, z, 1.0)
-        u[in_front] = (camera.fx * cam[in_front, 0] / zs[in_front]) + camera.cx
-        v[in_front] = (camera.fy * cam[in_front, 1] / zs[in_front]) + camera.cy
-        ui = np.round(u).astype(int)
-        vi = np.round(v).astype(int)
-        in_image = (
-            in_front
-            & (ui >= 0)
-            & (ui < camera.width)
-            & (vi >= 0)
-            & (vi < camera.height)
-        )
-        measured = np.zeros(len(z))
-        measured[in_image] = depth[vi[in_image], ui[in_image]]
-        valid = in_image & (measured > 1e-3)
-        sdf = measured - z
-        # Only fuse voxels in front of or just behind the surface.
-        fuse = valid & (sdf > -self.truncation_m)
-        tsdf_new = np.clip(sdf / self.truncation_m, -1.0, 1.0)
-
-        flat_tsdf = self.tsdf.reshape(-1)
-        flat_weight = self.weight.reshape(-1)
-        w_old = flat_weight[fuse]
-        w_new = np.minimum(w_old + 1.0, self.max_weight)
-        flat_tsdf[fuse] = (flat_tsdf[fuse] * w_old + tsdf_new[fuse]) / np.maximum(w_new, 1.0)
-        flat_weight[fuse] = w_new
-        return int(fuse.sum())
-
-    # ------------------------------------------------------------------
 
     def world_to_voxel(self, points: np.ndarray) -> np.ndarray:
         """World coordinates -> continuous voxel indices."""

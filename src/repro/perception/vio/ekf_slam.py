@@ -20,9 +20,6 @@ which is exactly why the runtime treats the two as drop-in alternatives.
 
 from __future__ import annotations
 
-import time
-from collections import defaultdict
-from contextlib import contextmanager
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -40,6 +37,7 @@ from repro.perception.vio.update import (
     landmark_jacobians,
 )
 from repro.perception.vio import propagation
+from repro.perf import TaskTimer
 from repro.sensors.camera import CameraFrame, CameraIntrinsics
 from repro.sensors.imu import ImuSample
 
@@ -84,30 +82,22 @@ class EkfSlamVio:
             ),
         )
         self.tracker = FeatureTracker(config.max_features)
-        self.task_times: Dict[str, float] = defaultdict(float)
+        self._timer = TaskTimer("ekf_slam", TASK_NAMES)
         self._landmark_last_seen: Dict[int, int] = {}
         # Track observations die with the per-frame transient clone, so
         # track maturity is counted separately.
         self._track_age: Dict[int, int] = {}
         self._frame_count = 0
 
-    @contextmanager
-    def _timed(self, task: str):
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.task_times[task] += time.perf_counter() - start
-
     def task_breakdown(self) -> Dict[str, float]:
         """Accumulated seconds per task."""
-        return {name: self.task_times.get(name, 0.0) for name in TASK_NAMES}
+        return dict(self._timer.times)
 
     # ------------------------------------------------------------------
 
     def process_imu(self, sample: ImuSample) -> None:
         """Propagate the filter through one IMU sample."""
-        with self._timed("other"):
+        with self._timer("other"):
             propagation.propagate(self.state, sample, self.config.noise)
 
     def process_frame(self, frame: CameraFrame) -> VioEstimate:
@@ -118,23 +108,23 @@ class EkfSlamVio:
 
         # A single transient clone anchors this frame's observations
         # (EKF-SLAM needs the current camera pose in the error state).
-        with self._timed("other"):
+        with self._timer("other"):
             clone = state.augment_clone()
 
-        with self._timed("feature_matching"):
+        with self._timer("feature_matching"):
             _, lost = self.tracker.match(frame, clone.clone_id)
             for track in lost:
                 self._track_age.pop(track.feature_id, None)
             for feature_id in self.tracker.active:
                 self._track_age[feature_id] = self._track_age.get(feature_id, 0) + 1
 
-        with self._timed("feature_detection"):
+        with self._timer("feature_detection"):
             self.tracker.detect(frame, clone.clone_id, exclude=set(state.landmarks))
             for feature_id in self.tracker.active:
                 self._track_age.setdefault(feature_id, 1)
 
         # SLAM update: every in-state landmark observed this frame.
-        with self._timed("slam_update"):
+        with self._timer("slam_update"):
             stacked_r: List[np.ndarray] = []
             stacked_h: List[np.ndarray] = []
             for feature_id in state.landmark_ids():
@@ -162,7 +152,7 @@ class EkfSlamVio:
 
         # Delayed initialization: tracks long enough to triangulate become
         # landmarks (up to the budget).
-        with self._timed("landmark_initialization"):
+        with self._timer("landmark_initialization"):
             budget = config.max_slam_landmarks * 3  # EKF-SLAM carries more
             candidates = [
                 feature_id
@@ -190,7 +180,7 @@ class EkfSlamVio:
                 self._track_age.pop(feature_id, None)
 
         # Map management: retire stale landmarks, drop the transient clone.
-        with self._timed("map_management"):
+        with self._timer("map_management"):
             for feature_id in list(state.landmarks):
                 if self._frame_count - self._landmark_last_seen.get(feature_id, 0) > config.slam_stale_frames:
                     state.remove_landmark(feature_id)

@@ -2,8 +2,8 @@
 
 Orchestrates propagation, stochastic cloning, tracking, triangulation,
 MSCKF and SLAM updates, and marginalization -- and *times each task* with
-``time.perf_counter`` so the Table VI task breakdown can be measured
-directly from this implementation.
+a :class:`~repro.perf.TaskTimer` so the Table VI task breakdown can be
+measured directly from this implementation.
 
 Task names follow the paper's Table VI rows:
 ``feature_detection``, ``feature_matching``, ``feature_initialization``,
@@ -12,9 +12,6 @@ Task names follow the paper's Table VI rows:
 
 from __future__ import annotations
 
-import time
-from collections import defaultdict
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -33,6 +30,7 @@ from repro.perception.vio.update import (
     nullspace_project,
 )
 from repro.perception.vio import propagation
+from repro.perf import TaskTimer
 from repro.sensors.camera import CameraFrame, CameraIntrinsics
 from repro.sensors.imu import ImuNoise, ImuSample
 
@@ -123,30 +121,22 @@ class Msckf:
             velocity=np.zeros(3) if initial_velocity is None else np.asarray(initial_velocity, dtype=float),
         )
         self.tracker = FeatureTracker(config.max_features)
-        self.task_times: Dict[str, float] = defaultdict(float)
+        self._timer = TaskTimer("msckf", TASK_NAMES)
         self._slam_last_seen: Dict[int, int] = {}
         self._retired_slam_ids: set[int] = set()
         self._frame_count = 0
 
     # ------------------------------------------------------------------
 
-    @contextmanager
-    def _timed(self, task: str):
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.task_times[task] += time.perf_counter() - start
-
     def task_breakdown(self) -> Dict[str, float]:
         """Accumulated seconds per task (Table VI measurement)."""
-        return {name: self.task_times.get(name, 0.0) for name in TASK_NAMES}
+        return dict(self._timer.times)
 
     # ------------------------------------------------------------------
 
     def process_imu(self, sample: ImuSample) -> None:
         """Propagate the filter through one IMU sample."""
-        with self._timed("other"):
+        with self._timer("other"):
             propagation.propagate(self.state, sample, self.config.noise)
 
     def process_frame(self, frame: CameraFrame) -> VioEstimate:
@@ -155,13 +145,13 @@ class Msckf:
         config = self.config
         self._frame_count += 1
 
-        with self._timed("other"):
+        with self._timer("other"):
             clone = state.augment_clone()
 
-        with self._timed("feature_matching"):
+        with self._timer("feature_matching"):
             _, lost_tracks = self.tracker.match(frame, clone.clone_id)
 
-        with self._timed("feature_detection"):
+        with self._timer("feature_detection"):
             excluded = set(state.landmarks) | self._retired_slam_ids
             self.tracker.detect(frame, clone.clone_id, exclude=excluded)
 
@@ -189,7 +179,7 @@ class Msckf:
                         break
 
         # Triangulate both candidate sets (feature initialization).
-        with self._timed("feature_initialization"):
+        with self._timer("feature_initialization"):
             triangulated = {}
             for track in update_candidates + promotions:
                 result = self._triangulate_track(track)
@@ -197,7 +187,7 @@ class Msckf:
                     triangulated[track.feature_id] = result
 
         # MSCKF update: stack nullspace-projected constraints.
-        with self._timed("msckf_update"):
+        with self._timer("msckf_update"):
             stacked_r: List[np.ndarray] = []
             stacked_h: List[np.ndarray] = []
             for track in update_candidates:
@@ -223,7 +213,7 @@ class Msckf:
 
         # SLAM: delayed initialization of promoted tracks, then updates of
         # existing landmarks observed this frame.
-        with self._timed("feature_initialization"):
+        with self._timer("feature_initialization"):
             for track in promotions:
                 result = triangulated.get(track.feature_id)
                 if result is None:
@@ -243,7 +233,7 @@ class Msckf:
                 else:
                     self._retired_slam_ids.add(track.feature_id)
 
-        with self._timed("slam_update"):
+        with self._timer("slam_update"):
             slam_r: List[np.ndarray] = []
             slam_h: List[np.ndarray] = []
             for feature_id in state.landmark_ids():
@@ -273,7 +263,7 @@ class Msckf:
                 ekf_update(state, np.concatenate(slam_r), np.vstack(slam_h), config.pixel_sigma)
 
         # Marginalization: bound the clone window, prune stale landmarks.
-        with self._timed("marginalization"):
+        with self._timer("marginalization"):
             while len(state.clones) > config.max_clones:
                 oldest = state.clones[0].clone_id
                 state.marginalize_clone(oldest)

@@ -1,4 +1,4 @@
-"""Shared hot-path acceleration layer.
+"""Shared hot-path machinery: FFT helpers, caches, pools, host timing.
 
 Per-component deadlines (Table I of the paper) leave each kernel a 2-20 ms
 budget per frame, so the hot paths — WGS holography, TSDF fusion, the
@@ -12,13 +12,14 @@ This package collects the machinery those kernels share:
   :class:`ArrayCache` for reusable scratch buffers;
 - :mod:`repro.perf.parallel` -- :func:`parallel_map`, a process-pool map
   with a sequential fallback, for embarrassingly parallel benchmark sweeps;
-- :mod:`repro.perf.profile` -- the :func:`profiled` decorator and
-  :func:`profile_summary`, lightweight opt-in wall-clock instrumentation of
-  the accelerated kernels.
+- :mod:`repro.perf.profile` -- :class:`TaskTimer`, the one host-time
+  primitive behind every Table VI/VII task breakdown and :func:`span`, plus
+  the :func:`profiled` decorator and :func:`profile_summary`, opt-in
+  wall-clock instrumentation of the kernels and tasks.
 
-Every kernel rewired through this layer keeps its original implementation
-behind an ``accelerated=False`` flag, and ``benchmarks/perf_harness.py``
-times both paths and checks their numerical parity (see
+Each kernel has one implementation.  The formulations the WGS and TSDF
+kernels were derived from live in ``tests/kernel_oracles.py``, where the
+tests and ``benchmarks/perf_harness.py`` check parity against them (see
 ``docs/performance.md``).
 """
 
@@ -26,6 +27,7 @@ from repro.perf.cache import ArrayCache, PlanCache, global_plan_cache, global_sc
 from repro.perf.fft import FFT_BACKEND, batched_fft2, batched_ifft2, fft2, ifft2
 from repro.perf.parallel import parallel_map
 from repro.perf.profile import (
+    TaskTimer,
     enable_profiling,
     profile_summary,
     profiled,
@@ -38,6 +40,7 @@ __all__ = [
     "ArrayCache",
     "FFT_BACKEND",
     "PlanCache",
+    "TaskTimer",
     "batched_fft2",
     "batched_ifft2",
     "enable_profiling",

@@ -1,4 +1,4 @@
-"""Plan and scratch-array caches for the accelerated kernels.
+"""Plan and scratch-array caches for the hot-path kernels.
 
 Two distinct reuse patterns show up in the hot paths:
 
@@ -100,6 +100,6 @@ class ArrayCache:
         self._buffers.clear()
 
 
-#: Process-wide caches shared by the accelerated kernels.
+#: Process-wide caches shared by the hot-path kernels.
 global_plan_cache = PlanCache()
 global_scratch = ArrayCache()

@@ -1,10 +1,17 @@
-"""Opt-in wall-clock profiling of the accelerated kernels.
+"""Host-time instrumentation: one task timer, opt-in profiling.
 
-Profiling is disabled by default so the hooks cost one attribute load and a
-branch per call.  When enabled (``enable_profiling()``), every ``@profiled``
-function and every ``span(...)`` block records wall time into a process-wide
-registry that ``profile_summary()`` renders as plain dictionaries — the same
-shape ``benchmarks/perf_harness.py`` writes into ``BENCH_hotpaths.json``.
+:class:`TaskTimer` is the one timing primitive.  Every Table VI/VII
+component owns one and wraps each of its tasks in ``with timer("task"):``,
+which always adds the block's host seconds to ``timer.times`` (the
+component's ``task_breakdown()``).  ``span(name)`` is a one-task timer.
+
+Profiling is disabled by default, so ``@profiled`` costs one attribute load
+and a branch per call and a task block only updates its timer.  When
+enabled (``enable_profiling()``), every ``@profiled`` function, every
+``span(...)`` block and every task block also records wall time into a
+process-wide registry, tasks as ``<component>.<task>``, which
+``profile_summary()`` renders as plain dictionaries -- the same shape
+``benchmarks/perf_harness.py`` writes into ``BENCH_hotpaths.json``.
 """
 
 from __future__ import annotations
@@ -12,8 +19,7 @@ from __future__ import annotations
 import functools
 import threading
 import time
-from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, Mapping, Optional
+from typing import Any, Callable, Dict, Iterable, Mapping, Optional
 
 _enabled = False
 _records: Dict[str, Dict[str, float]] = {}
@@ -27,7 +33,7 @@ _tracer: Optional[Any] = None
 
 
 def enable_profiling(on: bool = True) -> None:
-    """Globally switch the ``@profiled`` / ``span`` hooks on or off."""
+    """Globally switch registry recording of every hook on or off."""
     global _enabled
     _enabled = on
 
@@ -96,17 +102,47 @@ def _record(name: str, elapsed: float) -> None:
         tracer.end_span(kernel, end=kernel.start)
 
 
-@contextmanager
-def span(name: str) -> Iterator[None]:
-    """Record the wall time of a ``with`` block under ``name`` (when enabled)."""
-    if not _enabled:
-        yield
-        return
-    start = time.perf_counter()
-    try:
-        yield
-    finally:
-        _record(name, time.perf_counter() - start)
+class TaskTimer:
+    """Host seconds per task of one component, in table order.
+
+    ``times`` starts with every task name at 0.0; ``with timer("task"):``
+    adds the block's wall time to ``times["task"]``, so a name outside the
+    table raises ``KeyError`` instead of dropping out of the breakdown.
+    While profiling is enabled the block is also recorded in the registry
+    as ``<component>.<task>`` (nested as a kernel span under an attached
+    tracer's active span).  One timer times one block at a time: blocks of
+    the same timer must not nest.
+    """
+
+    __slots__ = ("times", "_prefix", "_task", "_start")
+
+    def __init__(self, component: Optional[str], tasks: Iterable[str]) -> None:
+        self.times: Dict[str, float] = dict.fromkeys(tasks, 0.0)
+        self._prefix = f"{component}." if component else ""
+        self._task = ""
+        self._start = 0.0
+
+    def __call__(self, task: str) -> "TaskTimer":
+        self._task = task
+        return self
+
+    def __enter__(self) -> "TaskTimer":
+        self._start = time.perf_counter()
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        elapsed = time.perf_counter() - self._start
+        self.times[self._task] += elapsed
+        if _enabled:
+            _record(self._prefix + self._task, elapsed)
+
+
+def span(name: str) -> TaskTimer:
+    """Record the wall time of a ``with`` block under ``name`` (when enabled).
+
+    A span is a fresh one-task timer with no component, so spans nest.
+    """
+    return TaskTimer(None, (name,))(name)
 
 
 def profiled(name_or_fn: Optional[Callable[..., Any] | str] = None) -> Callable[..., Any]:

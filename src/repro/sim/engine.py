@@ -137,7 +137,11 @@ class Process(Waitable):
         return self.callbacks is not None and not self._scheduled
 
     def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
+        """Throw :class:`Interrupt` into the process at the current time.
+
+        The interrupt supersedes the process's resume from the waitable it
+        waits on, even when that waitable's callbacks are already running.
+        """
         if not self.is_alive:
             raise SimulationError(f"cannot interrupt dead process {self.name!r}")
         target = self._target
@@ -156,6 +160,10 @@ class Process(Waitable):
         self._target = wakeup
 
     def _resume(self, trigger: Waitable) -> None:
+        if trigger is not self._target:
+            # An interrupt issued from an earlier callback of ``trigger``
+            # superseded this resume: the process now waits on its wakeup.
+            return
         self._target = None
         try:
             if trigger.ok:

@@ -11,34 +11,26 @@ Task accounting mirrors Table VII's hologram rows: ``hologram_to_depth``
 (forward propagations), ``sum`` (accumulating plane contributions), and
 ``depth_to_hologram`` (backward propagations).
 
-Two implementations coexist (selected by the ``accelerated`` flag):
-
-- the **reference** path propagates each depth plane separately — ``D``
-  forward and ``D`` backward FFT pairs per WGS iteration;
-- the **accelerated** path stacks the per-depth transfer functions into one
-  ``(D, N, N)`` array so a WGS iteration costs a *single* forward FFT of
-  the hologram (every plane shares it), one batched inverse FFT, one
-  batched forward FFT of the constrained fields, and one inverse FFT of
-  their frequency-domain sum.  Per-target masks, flat indices, and norms
-  are cached across iterations, and the WGS weights and plane amplitudes
-  live only on the in-target pixels (weights elsewhere multiply a zero
-  target and cannot affect the result).
-
-``benchmarks/perf_harness.py`` times both and checks parity; on the
-acceptance configuration (3 planes, 128^2, 10 iterations) the accelerated
-path is >= 2x faster with max phase deviation around 1e-10.
+The per-depth transfer functions are stacked into one ``(D, N, N)`` array,
+so a WGS iteration costs a *single* forward FFT of the hologram (every
+plane shares it), one batched inverse FFT, one batched forward FFT of the
+constrained fields, and one inverse FFT of their frequency-domain sum.
+Per-target masks, flat indices, and norms are cached across iterations,
+and the WGS weights and plane amplitudes live only on the in-target pixels
+(weights elsewhere multiply a zero target and cannot affect the result).
+``tests/kernel_oracles.py`` keeps the per-plane formulation (``D`` forward
+and ``D`` backward FFT pairs per iteration) that the tests and
+``benchmarks/perf_harness.py`` hold this solve to, within atol 1e-8.
 """
 
 from __future__ import annotations
 
-import time
-from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.perf import batched_fft2, batched_ifft2, fft2, global_plan_cache, ifft2, profiled
+from repro.perf import TaskTimer, batched_fft2, batched_ifft2, fft2, global_plan_cache, ifft2, profiled
 
 TASK_NAMES = ("hologram_to_depth", "sum", "depth_to_hologram")
 
@@ -82,8 +74,6 @@ class WeightedGerchbergSaxton:
     wavelength_m: float = 520e-9
     pixel_pitch_m: float = 8e-6
     depths_m: Sequence[float] = (0.05, 0.10, 0.20)
-    accelerated: bool = True
-    _transfer: Dict[float, np.ndarray] = field(init=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.resolution < 16 or self.resolution & (self.resolution - 1):
@@ -91,8 +81,8 @@ class WeightedGerchbergSaxton:
         if not self.depths_m:
             raise ValueError("need at least one depth plane")
         for z in self.depths_m:
-            if z <= 0:
-                raise ValueError(f"depth must be positive: {z}")
+            if not 0 < z < np.inf:
+                raise ValueError(f"depth must be positive and finite: {z}")
         key = (
             "wgs.transfer",
             self.resolution,
@@ -110,15 +100,6 @@ class WeightedGerchbergSaxton:
             ),
         )
         self._transfer_conj = np.conj(self._transfer_stack)
-        for k, z in enumerate(self.depths_m):
-            self._transfer[z] = self._transfer_stack[k]
-
-    def propagate(self, field_in: np.ndarray, z: float, forward: bool = True) -> np.ndarray:
-        """Angular-spectrum propagation over distance ``z``."""
-        h = self._transfer[z]
-        if not forward:
-            h = np.conj(h)
-        return np.fft.ifft2(np.fft.fft2(field_in) * h)
 
     def propagate_all(self, field_in: np.ndarray, forward: bool = True) -> np.ndarray:
         """Propagate one hologram field to every depth plane in one batch."""
@@ -145,20 +126,11 @@ class WeightedGerchbergSaxton:
     ) -> HologramResult:
         """Run WGS for the per-plane target amplitude images."""
         targets = self._validated_targets(targets)
-        if self.accelerated:
-            return self._solve_accelerated(targets, iterations, seed)
-        return self._solve_reference(targets, iterations, seed)
-
-    # ------------------------------------------------------------------
-    # Accelerated path: batched propagation, cached masks, sparse weights.
-    # ------------------------------------------------------------------
-
-    def _solve_accelerated(
-        self, targets: List[np.ndarray], iterations: int, seed: int
-    ) -> HologramResult:
+        if not iterations >= 0:
+            raise ValueError(f"iterations must be non-negative: {iterations}")
         n = self.resolution
         d = len(self.depths_m)
-        task_times: Dict[str, float] = defaultdict(float)
+        tasks = TaskTimer("hologram", TASK_NAMES)
         rng = np.random.default_rng(seed)
         phase = rng.uniform(-np.pi, np.pi, (n, n))
 
@@ -185,55 +157,54 @@ class WeightedGerchbergSaxton:
         holo = np.exp(1j * phase)
         accumulated = None
         for _iteration in range(iterations):
-            t0 = time.perf_counter()
-            # Every plane shares the hologram's spectrum: one forward FFT,
-            # one batched inverse FFT, instead of D separate FFT pairs.
-            plane_fields = batched_ifft2(
-                fft2(holo)[None, :, :] * self._transfer_stack
-            )
-            task_times["hologram_to_depth"] += time.perf_counter() - t0
-
-            t0 = time.perf_counter()
-            # Only in-target amplitudes are used (weights and the constraint
-            # ratio vanish elsewhere): gather those fields, then take |f|.
-            amps = np.abs(plane_fields.reshape(-1)[target_idx])
-            masked_amps = [amps[s] for s in plane_slices]
-            # sum()/size and array.sum()/d are the additions and divisions
-            # a.mean() and np.mean() make, without their dispatch overhead.
-            plane_means = [
-                float(a.sum()) / a.size if has_target[k] else 0.0
-                for k, a in enumerate(masked_amps)
-            ]
-            mean_amp = float(np.array(plane_means).sum()) / d
-            task_times["sum"] += time.perf_counter() - t0
-
-            t0 = time.perf_counter()
-            for k in range(d):
-                # WGS weight update: boost planes that are lagging.  Weights
-                # only matter where the target is nonzero, so they are
-                # stored on the in-target pixels alone.
-                if has_target[k] and plane_means[k] > 0:
-                    masked_weights[k] = (
-                        masked_weights[k]
-                        * ((mean_amp + 1e-12) / (masked_amps[k] + 1e-12)) ** 0.5
-                    )
-                ratio[plane_idx[k]] = (
-                    masked_weights[k]
-                    * target_vals[k]
-                    / np.maximum(masked_amps[k], 1e-300)
+            with tasks("hologram_to_depth"):
+                # Every plane shares the hologram's spectrum: one forward
+                # FFT, one batched inverse FFT, instead of D FFT pairs.
+                plane_fields = batched_ifft2(
+                    fft2(holo)[None, :, :] * self._transfer_stack
                 )
-            # constrained_k = w_k * t_k * exp(i*angle(f_k)) == f_k * ratio_k.
-            constrained = plane_fields * ratio.reshape(d, n, n)
-            # ifft2 is linear: sum the spectra, invert once.
-            spectra = batched_fft2(constrained)
-            accumulated = ifft2(np.einsum("kij,kij->ij", spectra, h_conj))
-            holo = accumulated / np.maximum(np.abs(accumulated), 1e-300)
-            task_times["depth_to_hologram"] += time.perf_counter() - t0
+
+            with tasks("sum"):
+                # Only in-target amplitudes are used (weights and the
+                # constraint ratio vanish elsewhere): gather those fields,
+                # then take |f|.
+                amps = np.abs(plane_fields.reshape(-1)[target_idx])
+                masked_amps = [amps[s] for s in plane_slices]
+                # sum()/size and array.sum()/d are the additions and
+                # divisions a.mean() and np.mean() make, without their
+                # dispatch overhead.
+                plane_means = [
+                    float(a.sum()) / a.size if has_target[k] else 0.0
+                    for k, a in enumerate(masked_amps)
+                ]
+                mean_amp = float(np.array(plane_means).sum()) / d
+
+            with tasks("depth_to_hologram"):
+                for k in range(d):
+                    # WGS weight update: boost planes that are lagging.
+                    # Weights only matter where the target is nonzero, so
+                    # they are stored on the in-target pixels alone.
+                    if has_target[k] and plane_means[k] > 0:
+                        masked_weights[k] = (
+                            masked_weights[k]
+                            * ((mean_amp + 1e-12) / (masked_amps[k] + 1e-12)) ** 0.5
+                        )
+                    ratio[plane_idx[k]] = (
+                        masked_weights[k]
+                        * target_vals[k]
+                        / np.maximum(masked_amps[k], 1e-300)
+                    )
+                # constrained_k = w_k * t_k * exp(i*angle(f_k)) == f_k * ratio_k.
+                constrained = plane_fields * ratio.reshape(d, n, n)
+                # ifft2 is linear: sum the spectra, invert once.
+                spectra = batched_fft2(constrained)
+                accumulated = ifft2(np.einsum("kij,kij->ij", spectra, h_conj))
+                holo = accumulated / np.maximum(np.abs(accumulated), 1e-300)
 
         if accumulated is not None:
             phase = np.angle(accumulated)
 
-        # Final forward pass for metrics (exp(i*phase), as the reference).
+        # Final forward pass for metrics (of exp(i*phase), not of holo).
         final_fields = self.propagate_all(np.exp(1j * phase))
         final_amps = np.abs(final_fields)
         plane_amps = [final_amps[k] for k in range(d)]
@@ -248,75 +219,7 @@ class WeightedGerchbergSaxton:
             if total > 0:
                 efficiencies.append(float((amps_in_target**2).sum()) / total)
                 plane_means.append(float(amps_in_target.mean()))
-        return self._result(phase, plane_amps, efficiencies, plane_means, iterations, task_times)
-
-    # ------------------------------------------------------------------
-    # Reference path: the original per-plane implementation, kept for
-    # parity tests and before/after benchmarking.
-    # ------------------------------------------------------------------
-
-    def _solve_reference(
-        self, targets: List[np.ndarray], iterations: int, seed: int
-    ) -> HologramResult:
-        n = self.resolution
-        task_times: Dict[str, float] = defaultdict(float)
-        rng = np.random.default_rng(seed)
-        phase = rng.uniform(-np.pi, np.pi, (n, n))
-        weights = [np.ones((n, n)) for _ in targets]
-        # Normalize targets to unit energy so weighting is meaningful.
-        targets = [t / max(np.sqrt((t**2).sum()), 1e-12) for t in targets]
-
-        plane_amps: List[np.ndarray] = [np.zeros((n, n)) for _ in targets]
-        for _iteration in range(iterations):
-            hologram_field = np.exp(1j * phase)
-            plane_fields = []
-            t0 = time.perf_counter()
-            for z in self.depths_m:
-                plane_fields.append(self.propagate(hologram_field, z, forward=True))
-            task_times["hologram_to_depth"] += time.perf_counter() - t0
-
-            t0 = time.perf_counter()
-            mean_amp = np.mean(
-                [float(np.mean(np.abs(f)[t > 0])) if np.any(t > 0) else 0.0
-                 for f, t in zip(plane_fields, targets)]
-            )
-            task_times["sum"] += time.perf_counter() - t0
-
-            t0 = time.perf_counter()
-            accumulated = np.zeros((n, n), dtype=complex)
-            for k, (z, target) in enumerate(zip(self.depths_m, targets)):
-                amp = np.abs(plane_fields[k])
-                plane_amps[k] = amp
-                # WGS weight update: boost planes that are lagging.  The
-                # update is skipped when the plane carries no energy in its
-                # target region (plane_mean == 0), stated as an explicit
-                # branch rather than a conditional expression trailing the
-                # product.
-                in_target = target > 0
-                if np.any(in_target):
-                    plane_mean = float(np.mean(amp[in_target]))
-                    if plane_mean > 0:
-                        weights[k] = weights[k] * np.where(
-                            in_target, (mean_amp + 1e-12) / (amp + 1e-12), 1.0
-                        ) ** 0.5
-                constrained = weights[k] * target * np.exp(1j * np.angle(plane_fields[k]))
-                accumulated += self.propagate(constrained, z, forward=False)
-            phase = np.angle(accumulated)
-            task_times["depth_to_hologram"] += time.perf_counter() - t0
-
-        # Final forward pass for metrics.
-        hologram_field = np.exp(1j * phase)
-        efficiencies = []
-        plane_means = []
-        for k, (z, target) in enumerate(zip(self.depths_m, targets)):
-            f = self.propagate(hologram_field, z, forward=True)
-            plane_amps[k] = np.abs(f)
-            in_target = target > 0
-            total = float((np.abs(f) ** 2).sum())
-            if np.any(in_target) and total > 0:
-                efficiencies.append(float((np.abs(f)[in_target] ** 2).sum()) / total)
-                plane_means.append(float(np.mean(np.abs(f)[in_target])))
-        return self._result(phase, plane_amps, efficiencies, plane_means, iterations, task_times)
+        return self._result(phase, plane_amps, efficiencies, plane_means, iterations, tasks.times)
 
     @staticmethod
     def _result(

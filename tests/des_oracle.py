@@ -3,7 +3,8 @@
 An order oracle for ``tests/test_des_parity.py``: the classes below are the
 slot-less engine (callbacks run through ``Waitable._process_callbacks``, a
 finished process always schedules a completion event) and the resource
-that grants through ``Event.succeed``.  The production engine must process
+that grants through ``Event.succeed``.  The one later change both engines
+share is that an interrupt supersedes a resume already in flight.  The production engine must process
 the same occurrences in the same ``(time, sequence)`` order, so a program
 run on both yields identical logs.  Not collected as a test module.
 """
@@ -115,7 +116,11 @@ class Process(Waitable):
         return self.callbacks is not None and not self._scheduled
 
     def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
+        """Throw :class:`Interrupt` into the process at the current time.
+
+        The interrupt supersedes the process's resume from the waitable it
+        waits on, even when that waitable's callbacks are already running.
+        """
         if not self.is_alive:
             raise SimulationError(f"cannot interrupt dead process {self.name!r}")
         target = self._target
@@ -130,6 +135,10 @@ class Process(Waitable):
         self._target = wakeup
 
     def _resume(self, trigger: Waitable) -> None:
+        if trigger is not self._target:
+            # An interrupt issued from an earlier callback of ``trigger``
+            # superseded this resume: the process now waits on its wakeup.
+            return
         self._target = None
         try:
             if trigger.ok:

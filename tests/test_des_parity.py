@@ -12,7 +12,7 @@ time on both engines.
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.core.runtime as runtime_module
@@ -141,8 +141,15 @@ def run_program(sim, capacities, programs, until=None):
     return log, [r.busy_time() for r in resources], engine.now
 
 
+# p3 and p8 both wait on p4; p3 resumes first and interrupts p8 while
+# p4's callbacks run, so the interrupt must supersede p8's resume from p4.
+RACE = [[("timeout", 0.0)]] * 3 + [[("join", 4), ("interrupt", 8)]] + [[("timeout", 0.0)]] * 4
+
+
 @settings(max_examples=300, deadline=None)
 @given(PROGRAMS)
+@example(([1], RACE + [[("join", 4)]], None))
+@example(([1], RACE + [[("join", 4), ("timeout", 0.0)]], None))
 def test_random_programs_match_oracle(program):
     capacities, programs, until = program
     expected = run_program(des_oracle, capacities, programs, until)

@@ -55,8 +55,15 @@ def test_ssim_shape_mismatch():
 
 
 def test_ssim_invalid_data_range():
-    with pytest.raises(ValueError):
-        ssim(_image(), _image(), data_range=0.0)
+    for data_range in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            ssim(_image(), _image(), data_range=data_range)
+
+
+def test_ssim_invalid_sigma():
+    for sigma in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            ssim(_image(), _image(), sigma=sigma)
 
 
 def test_ssim_full_map():
@@ -110,8 +117,9 @@ def test_flip_validation():
         flip(_image(), _image(0, shape=(16, 16, 3)))
     with pytest.raises(ValueError):
         flip(_image()[..., 0], _image()[..., 0])
-    with pytest.raises(ValueError):
-        flip(_image(), _image(), pixels_per_degree=0.0)
+    for ppd in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            flip(_image(), _image(), pixels_per_degree=ppd)
 
 
 def test_flip_full_map_shape():

@@ -283,6 +283,32 @@ def test_kernel_spans_nest_inside_invocations():
     assert profile.profile_summary()["obs_test.square"]["calls"] == 2
 
 
+def test_task_timer_spans_nest_inside_invocations():
+    """A component's Table VII tasks fire as ``<component>.<task>`` kernel
+    spans inside the active plugin span when profiling is enabled."""
+    from repro.audio.encoding import TASK_NAMES, AudioEncoder
+    from repro.audio.sources import SpeechLikeSource
+
+    encoder = AudioEncoder([SpeechLikeSource(seed=0)])
+    tracer = Tracer()
+    profile.set_tracer(tracer)
+    profile.enable_profiling(True)
+    invocation = tracer.start_span("audio_encoding#0", track="audio_encoding", kind="invocation")
+    with tracer.activate(invocation):
+        encoder.encode_next_block()
+    encoder.encode_next_block()  # outside any span: recorded, but no span emitted
+    kernels = [s for s in tracer.spans if s.kind == "kernel"]
+    assert [k.name for k in kernels] == [f"audio_encoding.{task}" for task in TASK_NAMES]
+    for kernel in kernels:
+        assert kernel.parent_id == invocation.span_id
+        assert kernel.track == "audio_encoding"
+        assert kernel.duration == 0.0
+    summary = profile.profile_summary()
+    for task in TASK_NAMES:
+        assert summary[f"audio_encoding.{task}"]["calls"] == 2
+    assert list(encoder.task_breakdown()) == list(TASK_NAMES)
+
+
 def test_traced_runtime_installs_profile_tracer():
     config = SystemConfig(duration_s=0.5, fidelity="model", seed=0)
     runtime = build_runtime(DESKTOP, "platformer", config, observability=True)

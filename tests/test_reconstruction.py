@@ -90,6 +90,18 @@ def test_volume_validation():
         TsdfVolume(resolution=4)
     with pytest.raises(ValueError):
         TsdfVolume(truncation_m=0.0)
+    for kwargs in (
+        {"extent_m": 0.0},
+        {"extent_m": -8.0},
+        {"extent_m": float("nan")},
+        {"extent_m": float("inf")},
+        {"max_weight": 0.0},
+        {"max_weight": float("nan")},
+        {"truncation_m": float("nan")},
+        {"truncation_m": float("inf")},
+    ):
+        with pytest.raises(ValueError):
+            TsdfVolume(resolution=16, **kwargs)
 
 
 def test_raycast_matches_analytic_depth(fused_volume, camera):

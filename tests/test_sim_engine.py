@@ -233,6 +233,33 @@ def test_interrupt_raises_inside_process():
     assert log == [(2.0, "wakeup")]
 
 
+def test_interrupt_from_shared_target_callback_supersedes_resume():
+    """Interrupting a process from an earlier callback of the event it waits on."""
+    engine = Engine()
+    log = []
+    done = engine.event()
+
+    def interrupter(eng):
+        yield done
+        victim.interrupt("first")
+
+    def sleeper(eng):
+        try:
+            yield done
+            log.append("resumed")
+        except Interrupt as interrupt:
+            log.append((eng.now, interrupt.cause))
+        yield eng.timeout(1.0)
+        log.append(eng.now)
+
+    # The interrupter waits on ``done`` first, so it runs first.
+    engine.process(interrupter(engine))
+    victim = engine.process(sleeper(engine))
+    engine.call_later(2.0, done.succeed)
+    engine.run()
+    assert log == [(2.0, "first"), 3.0]
+
+
 def test_interrupt_dead_process_rejected():
     engine = Engine()
 

@@ -312,24 +312,26 @@ def test_wgs_task_times_cover_table_vii(hologram_solver):
 def test_propagation_is_unitary(hologram_solver):
     rng = np.random.default_rng(3)
     field = np.exp(1j * rng.uniform(-np.pi, np.pi, (64, 64)))
-    propagated = hologram_solver.propagate(field, hologram_solver.depths_m[0])
+    planes = hologram_solver.propagate_all(field)
+    assert planes.shape == (len(hologram_solver.depths_m), 64, 64)
     # Angular-spectrum propagation conserves energy (no evanescent loss
     # for a propagating field at this sampling).
     energy_in = (np.abs(field) ** 2).sum()
-    energy_out = (np.abs(propagated) ** 2).sum()
-    assert energy_out <= energy_in + 1e-6
-    assert energy_out > 0.5 * energy_in
+    for propagated in planes:
+        energy_out = (np.abs(propagated) ** 2).sum()
+        assert energy_out <= energy_in + 1e-6
+        assert energy_out > 0.5 * energy_in
 
 
 def test_propagation_roundtrip(hologram_solver):
     rng = np.random.default_rng(4)
     field = np.exp(1j * rng.uniform(-np.pi, np.pi, (64, 64)))
-    z = hologram_solver.depths_m[0]
-    roundtrip = hologram_solver.propagate(
-        hologram_solver.propagate(field, z, forward=True), z, forward=False
-    )
-    # Forward then backward is identity on the propagating subspace.
-    assert np.abs(roundtrip - field).mean() < 0.2
+    planes = hologram_solver.propagate_all(field, forward=True)
+    for k, plane in enumerate(planes):
+        # Plane k travels back over its own depth: entry k of the batch.
+        roundtrip = hologram_solver.propagate_all(plane, forward=False)[k]
+        # Forward then backward is identity on the propagating subspace.
+        assert np.abs(roundtrip - field).mean() < 0.2
 
 
 def test_wgs_validation():
@@ -342,6 +344,11 @@ def test_wgs_validation():
         solver.solve([np.zeros((32, 32))])  # wrong target shape
     with pytest.raises(ValueError):
         solver.solve([np.zeros((64, 64)), np.zeros((64, 64))])  # wrong count
+    with pytest.raises(ValueError):
+        solver.solve([np.ones((64, 64))], iterations=-3)
+    for depth in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            WeightedGerchbergSaxton(resolution=64, depths_m=(depth,))
 
 
 def test_focal_stack_partitions_luminance(sponza_frame):
