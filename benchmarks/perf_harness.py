@@ -43,7 +43,7 @@ from repro.core.switchboard import Topic  # noqa: E402
 from repro.maths.se3 import Pose  # noqa: E402
 from repro.metrics.ssim import ssim  # noqa: E402
 from repro.perception.reconstruction.tsdf import TsdfVolume  # noqa: E402
-from repro.perf import parallel_map, profile_summary, enable_profiling  # noqa: E402
+from repro.perf import profile_summary, enable_profiling  # noqa: E402
 from repro.perf import profile as profile_module  # noqa: E402
 from repro.sensors.depth import DepthCamera, DepthScene  # noqa: E402
 from repro.visual.hologram import WeightedGerchbergSaxton  # noqa: E402
@@ -181,7 +181,7 @@ def bench_switchboard(quick: bool, repeats: int) -> Dict[str, object]:
 
 
 def _hologram_parity_sweep(seed: int) -> float:
-    """Max phase deviation for one seeded target set (parallel_map worker)."""
+    """Max phase deviation for one seeded target set."""
     n, depths = 64, (0.05, 0.12)
     targets = _focal_targets(n, len(depths), seed=seed)
     solver = WeightedGerchbergSaxton(resolution=n, depths_m=depths)
@@ -299,12 +299,6 @@ def main(argv: List[str] | None = None) -> int:
         help="output path (default: BENCH_hotpaths.json at the repo root)",
     )
     parser.add_argument(
-        "--sweep-processes",
-        type=int,
-        default=1,
-        help="worker processes for the parity seed sweep (parallel_map)",
-    )
-    parser.add_argument(
         "--gate-overhead",
         type=float,
         default=None,
@@ -326,10 +320,9 @@ def main(argv: List[str] | None = None) -> int:
         )
 
     # Per-seed parity sweep for the most numerically delicate kernel (WGS
-    # iterations amplify 1-ulp reassociation noise); parallel_map degrades
-    # to sequential on single-core or sandboxed platforms.
+    # iterations amplify 1-ulp reassociation noise).
     seeds = list(range(2 if args.quick else 6))
-    deviations = parallel_map(_hologram_parity_sweep, seeds, processes=args.sweep_processes)
+    deviations = [_hologram_parity_sweep(seed) for seed in seeds]
     sweep_ok = bool(max(deviations) <= 1e-8)
     print(f"hologram parity sweep over {len(seeds)} seeds: max deviation {max(deviations):.2e}")
 

@@ -71,13 +71,25 @@ def characterize_vio(duration_s: float = 15.0, seed: int = 1, quality: str = "st
     )
 
 
+#: Frames the reconstruction pose error skips while the volume fills.
+_RECONSTRUCTION_WARMUP = 3
+
+
 def characterize_reconstruction(frames: int = 30, seed: int = 3) -> TaskBreakdown:
-    """Scene reconstruction on the dyson_lab-like depth sequence."""
+    """Scene reconstruction on the dyson_lab-like depth sequence.
+
+    The first ``_RECONSTRUCTION_WARMUP`` frames stay out of
+    ``pose_error_cm``, so ``frames`` must exceed it.
+    """
     from repro.maths.se3 import Pose
     from repro.perception.reconstruction.pipeline import ReconstructionPipeline
     from repro.sensors.depth import DepthCamera, DepthScene
     from repro.sensors.trajectory import lab_walk_trajectory
 
+    if frames <= _RECONSTRUCTION_WARMUP:
+        raise ValueError(
+            f"need more than {_RECONSTRUCTION_WARMUP} frames (the warm-up), got {frames}"
+        )
     scene = DepthScene.default(seed=seed)
     camera = DepthCamera(scene, width=80, height=60, seed=seed)
     trajectory = lab_walk_trajectory(duration=frames * 0.3 + 2.0, seed=seed)
@@ -98,7 +110,7 @@ def characterize_reconstruction(frames: int = 30, seed: int = 3) -> TaskBreakdow
         frames=frames,
         mean_frame_ms=float(np.mean(pipeline.frame_times)) * 1e3,
         extras={
-            "pose_error_cm": float(np.mean(errors[3:])) * 100.0,
+            "pose_error_cm": float(np.mean(errors[_RECONSTRUCTION_WARMUP:])) * 100.0,
             "occupied_fraction": pipeline.volume.occupied_fraction,
             "frame_time_growth": float(
                 np.mean(pipeline.frame_times[-5:]) / max(np.mean(pipeline.frame_times[:5]), 1e-12)

@@ -9,7 +9,7 @@ ranges are the paper's reported tunable ranges, kept so that experiments
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
 
@@ -81,7 +81,6 @@ class SystemConfig:
     # Reprojection pose prediction (footnote 3 of the paper): predict the
     # pose forward to the display time instead of using the latest sample.
     pose_prediction: bool = False
-    extras: Dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not 15.0 <= self.camera_rate_hz <= 100.0:

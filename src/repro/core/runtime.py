@@ -31,6 +31,7 @@ from repro.maths.se3 import Pose
 from repro.maths.splines import TrajectorySpline
 from repro.metrics.mtp import MtpSample, MtpSummary, summarize_mtp
 from repro.perception.vio.msckf import VioEstimate
+from repro.perf import profile
 from repro.plugins.audio import AudioEncodingPlugin, AudioPlaybackPlugin
 from repro.plugins.perception import CameraPlugin, ImuPlugin, IntegratorPlugin, VioPlugin
 from repro.plugins.visual import ApplicationPlugin, DisplayEvent, TimewarpPlugin
@@ -259,14 +260,24 @@ class Runtime:
         self.switchboard.topic("slow_pose").subscribe_callback(collect_slow_pose)
         self.switchboard.topic("fast_pose").subscribe_callback(collect_fast_pose)
 
-        for plugin in self.plugins:
-            plugin.setup(self.phonebook, self.switchboard)
-        for plugin in self.plugins:
-            self.scheduler.add_plugin(plugin)
+        # Profiled kernels and task blocks nest as kernel spans in the
+        # active invocation span of the installed tracer (a no-op while
+        # profiling is disabled, the default).  The tracer is process-wide,
+        # so each run installs its own (None when untraced) while it runs.
+        previous_tracer = profile.set_tracer(
+            self.observability.tracer if self.observability is not None else None
+        )
+        try:
+            for plugin in self.plugins:
+                plugin.setup(self.phonebook, self.switchboard)
+            for plugin in self.plugins:
+                self.scheduler.add_plugin(plugin)
 
-        self.engine.run(until=duration)
-        for plugin in self.plugins:
-            plugin.finalize()
+            self.engine.run(until=duration)
+            for plugin in self.plugins:
+                plugin.finalize()
+        finally:
+            profile.set_tracer(previous_tracer)
 
         utilization = self.scheduler.utilization()
         power = PowerModel(self.platform).breakdown(

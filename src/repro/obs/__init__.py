@@ -27,7 +27,7 @@ from repro.obs.critical_path import (
     lineage_fraction,
     render_report,
 )
-from repro.obs.export import chrome_trace, save_chrome_trace, validate_chrome_trace
+from repro.obs.export import chrome_trace, validate_chrome_trace
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.observability import MTP_BUCKETS_S, SYS_TOPIC, Observability
 from repro.obs.tracer import Span, SpanLink, Tracer
@@ -50,6 +50,5 @@ __all__ = [
     "decomposition_summary",
     "lineage_fraction",
     "render_report",
-    "save_chrome_trace",
     "validate_chrome_trace",
 ]

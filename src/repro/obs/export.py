@@ -20,7 +20,6 @@ gate and the test suite.
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, List, Optional
 
 from repro.obs.tracer import Span, Tracer
@@ -133,12 +132,6 @@ def _flow_events(tracer: Tracer, tids: Dict[str, int]) -> List[Dict[str, Any]]:
             if producer is not None and producer.end is not None:
                 arrow(producer, span, link.publish_time, "read")
     return flows
-
-
-def save_chrome_trace(tracer: Tracer, path: str, metadata: Optional[Dict[str, Any]] = None) -> None:
-    """Write :func:`chrome_trace` output to ``path`` as JSON."""
-    with open(path, "w") as handle:
-        json.dump(chrome_trace(tracer, metadata), handle)
 
 
 def validate_chrome_trace(payload: Any) -> List[str]:

@@ -95,12 +95,6 @@ class Observability:
         switchboard.install_observer(self)
         switchboard.topic(SYS_TOPIC).subscribe_callback(self._on_sys_event)
         switchboard.topic("dead_letter").subscribe_callback(self._on_dead_letter)
-        # Nest @profiled kernel calls as kernel spans inside whichever
-        # invocation span is active when they fire (no-op while profiling
-        # itself is disabled, which is the default).
-        from repro.perf import profile
-
-        profile.set_tracer(self.tracer)
 
     # ------------------------------------------------------------------
     # Switchboard observer protocol

@@ -1,17 +1,12 @@
-"""Shared hot-path machinery: FFT helpers, caches, pools, host timing.
+"""Shared hot-path machinery: the plan cache and host timing.
 
 Per-component deadlines (Table I of the paper) leave each kernel a 2-20 ms
 budget per frame, so the hot paths — WGS holography, TSDF fusion, the
 SSIM/FLIP image metrics — cannot afford the naive one-item-at-a-time style.
-This package collects the machinery those kernels share:
+This package collects what those kernels share:
 
-- :mod:`repro.perf.fft` -- batched 2-D FFT helpers over a ``(..., N, N)``
-  stack (one backend call instead of a Python loop of transforms);
-- :mod:`repro.perf.cache` -- :class:`PlanCache` for memoizing expensive
-  precomputed operator arrays (e.g. angular-spectrum transfer stacks) and
-  :class:`ArrayCache` for reusable scratch buffers;
-- :mod:`repro.perf.parallel` -- :func:`parallel_map`, a process-pool map
-  with a sequential fallback, for embarrassingly parallel benchmark sweeps;
+- :mod:`repro.perf.cache` -- :class:`PlanCache`, which memoizes expensive
+  precomputed operator arrays (e.g. angular-spectrum transfer stacks);
 - :mod:`repro.perf.profile` -- :class:`TaskTimer`, the one host-time
   primitive behind every Table VI/VII task breakdown and :func:`span`, plus
   the :func:`profiled` decorator and :func:`profile_summary`, opt-in
@@ -23,9 +18,7 @@ tests and ``benchmarks/perf_harness.py`` check parity against them (see
 ``docs/performance.md``).
 """
 
-from repro.perf.cache import ArrayCache, PlanCache, global_plan_cache, global_scratch
-from repro.perf.fft import FFT_BACKEND, batched_fft2, batched_ifft2, fft2, ifft2
-from repro.perf.parallel import parallel_map
+from repro.perf.cache import PlanCache, global_plan_cache
 from repro.perf.profile import (
     TaskTimer,
     enable_profiling,
@@ -37,18 +30,10 @@ from repro.perf.profile import (
 )
 
 __all__ = [
-    "ArrayCache",
-    "FFT_BACKEND",
     "PlanCache",
     "TaskTimer",
-    "batched_fft2",
-    "batched_ifft2",
     "enable_profiling",
-    "fft2",
     "global_plan_cache",
-    "global_scratch",
-    "ifft2",
-    "parallel_map",
     "profile_summary",
     "profiled",
     "profiling_enabled",

@@ -19,12 +19,12 @@ from __future__ import annotations
 import functools
 import threading
 import time
-from typing import Any, Callable, Dict, Iterable, Mapping, Optional
+from typing import Any, Callable, Dict, Iterable, Optional
 
 _enabled = False
 _records: Dict[str, Dict[str, float]] = {}
-# Callers (and pool workers merging back, see repro.perf.parallel) may hit
-# the registry from multiple threads; one lock keeps aggregation exact.
+# Callers may record from several threads at once; one lock keeps each
+# name's calls/total/min/max aggregate exact.
 _lock = threading.Lock()
 # Optional repro.obs tracer: when set, every profiled call also becomes a
 # ``kernel`` span nested in the currently active plugin span, placing the
@@ -49,36 +49,18 @@ def reset_profile() -> None:
         _records.clear()
 
 
-def set_tracer(tracer: Optional[Any]) -> None:
-    """Install (or, with None, remove) a span tracer for kernel nesting.
+def set_tracer(tracer: Optional[Any]) -> Optional[Any]:
+    """Install (or, with None, remove) a span tracer; return the previous one.
 
-    Wired by :meth:`repro.obs.Observability.attach`; while installed,
-    ``_record`` emits a zero-simulated-duration ``kernel`` span carrying
-    the wall time as a ``wall_s`` attribute -- but only when a plugin
-    span is active, so standalone benchmark runs stay span-free.
+    :meth:`repro.core.runtime.Runtime.run` installs a traced run's tracer
+    for the run's duration and puts the previous one back.  While one is
+    installed, ``_record`` emits a zero-simulated-duration ``kernel`` span
+    carrying the wall time as a ``wall_s`` attribute -- but only when a
+    plugin span is active, so standalone benchmark runs stay span-free.
     """
     global _tracer
-    _tracer = tracer
-
-
-def snapshot_records() -> Dict[str, Dict[str, float]]:
-    """A deep copy of the registry (what pool workers ship back)."""
-    with _lock:
-        return {name: dict(stats) for name, stats in _records.items()}
-
-
-def merge_records(records: Mapping[str, Mapping[str, float]]) -> None:
-    """Fold another registry snapshot into this one (pool-worker merge)."""
-    with _lock:
-        for name, incoming in records.items():
-            stats = _records.get(name)
-            if stats is None:
-                _records[name] = dict(incoming)
-            else:
-                stats["calls"] += incoming["calls"]
-                stats["total_s"] += incoming["total_s"]
-                stats["min_s"] = min(stats["min_s"], incoming["min_s"])
-                stats["max_s"] = max(stats["max_s"], incoming["max_s"])
+    previous, _tracer = _tracer, tracer
+    return previous
 
 
 def _record(name: str, elapsed: float) -> None:

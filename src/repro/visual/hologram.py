@@ -29,8 +29,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
+import scipy.fft
 
-from repro.perf import TaskTimer, batched_fft2, batched_ifft2, fft2, global_plan_cache, ifft2, profiled
+from repro.perf import TaskTimer, global_plan_cache, profiled
 
 TASK_NAMES = ("hologram_to_depth", "sum", "depth_to_hologram")
 
@@ -78,6 +79,10 @@ class WeightedGerchbergSaxton:
     def __post_init__(self) -> None:
         if self.resolution < 16 or self.resolution & (self.resolution - 1):
             raise ValueError("resolution must be a power of two >= 16")
+        for name in ("wavelength_m", "pixel_pitch_m"):
+            value = getattr(self, name)
+            if not 0 < value < np.inf:
+                raise ValueError(f"{name} must be positive and finite: {value}")
         if not self.depths_m:
             raise ValueError("need at least one depth plane")
         for z in self.depths_m:
@@ -104,7 +109,7 @@ class WeightedGerchbergSaxton:
     def propagate_all(self, field_in: np.ndarray, forward: bool = True) -> np.ndarray:
         """Propagate one hologram field to every depth plane in one batch."""
         h = self._transfer_stack if forward else self._transfer_conj
-        return batched_ifft2(fft2(field_in)[None, :, :] * h)
+        return scipy.fft.ifft2(scipy.fft.fft2(field_in)[None, :, :] * h)
 
     def _validated_targets(self, targets: Sequence[np.ndarray]) -> List[np.ndarray]:
         if len(targets) != len(self.depths_m):
@@ -116,6 +121,8 @@ class WeightedGerchbergSaxton:
         for t in targets:
             if t.shape != (n, n):
                 raise ValueError(f"target shape {t.shape} != ({n}, {n})")
+            if not np.isfinite(t).all():
+                raise ValueError("target amplitudes must be finite")
             if t.min() < 0:
                 raise ValueError("target amplitudes must be non-negative")
         return targets
@@ -160,8 +167,8 @@ class WeightedGerchbergSaxton:
             with tasks("hologram_to_depth"):
                 # Every plane shares the hologram's spectrum: one forward
                 # FFT, one batched inverse FFT, instead of D FFT pairs.
-                plane_fields = batched_ifft2(
-                    fft2(holo)[None, :, :] * self._transfer_stack
+                plane_fields = scipy.fft.ifft2(
+                    scipy.fft.fft2(holo)[None, :, :] * self._transfer_stack
                 )
 
             with tasks("sum"):
@@ -197,8 +204,8 @@ class WeightedGerchbergSaxton:
                 # constrained_k = w_k * t_k * exp(i*angle(f_k)) == f_k * ratio_k.
                 constrained = plane_fields * ratio.reshape(d, n, n)
                 # ifft2 is linear: sum the spectra, invert once.
-                spectra = batched_fft2(constrained)
-                accumulated = ifft2(np.einsum("kij,kij->ij", spectra, h_conj))
+                spectra = scipy.fft.fft2(constrained)
+                accumulated = scipy.fft.ifft2(np.einsum("kij,kij->ij", spectra, h_conj))
                 holo = accumulated / np.maximum(np.abs(accumulated), 1e-300)
 
         if accumulated is not None:

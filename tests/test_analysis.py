@@ -85,6 +85,14 @@ def test_characterize_reconstruction_growth():
     assert breakdown.task_seconds["surfel_prediction"] > 0
 
 
+def test_characterize_reconstruction_rejects_warmup_only_runs():
+    # The first three frames are warm-up: fewer than four leaves no pose
+    # error to average.
+    for frames in (0, 2, 3):
+        with pytest.raises(ValueError, match="warm-up"):
+            characterize_reconstruction(frames=frames)
+
+
 def test_characterize_eye_tracking():
     breakdown = characterize_eye_tracking(train_steps=25, eval_samples=6)
     assert breakdown.extras["mean_iou"] > 0.4

@@ -8,15 +8,19 @@ Covers the acceptance criteria of the causal-tracing work:
   MTP metric per frame to 1e-6 s;
 - supervisor lifecycle events are routed onto ``sys/observability``;
 - every core hook is a None-check: untraced runs see no trace state;
-- the profiler nests ``@profiled`` kernels as spans and survives
-  ``parallel_map``.
+- the profiler nests ``@profiled`` kernels and task blocks as spans in
+  the invocation spans of the run that is running.
 """
+
+import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from repro.analysis import critical_path as critical_path_cli
 from repro.core.config import SystemConfig
-from repro.core.runtime import build_runtime
+from repro.core.runtime import RuntimeResult, build_runtime
 from repro.hardware.platform import DESKTOP
 from repro.obs import (
     MetricsRegistry,
@@ -30,7 +34,6 @@ from repro.obs import (
     validate_chrome_trace,
 )
 from repro.perf import profile
-from repro.perf.parallel import parallel_map
 from repro.resilience import FaultPlan, SupervisorConfig
 
 
@@ -310,9 +313,59 @@ def test_task_timer_spans_nest_inside_invocations():
 
 
 def test_traced_runtime_installs_profile_tracer():
+    """The run's tracer is installed while it runs, then the previous one
+    is back -- also when the run raises."""
     config = SystemConfig(duration_s=0.5, fidelity="model", seed=0)
+    outer = Tracer()
+    profile.set_tracer(outer)
     runtime = build_runtime(DESKTOP, "platformer", config, observability=True)
-    assert profile._tracer is runtime.observability.tracer
+    assert profile._tracer is outer  # building installs nothing
+    seen = []
+    runtime.switchboard.topic("fast_pose").subscribe_callback(
+        lambda _event: seen.append(profile._tracer)
+    )
+    runtime.run()
+    assert seen and all(tracer is runtime.observability.tracer for tracer in seen)
+    assert profile._tracer is outer
+
+    failing = build_runtime(DESKTOP, "platformer", config, observability=True)
+
+    def fail(_event):
+        raise RuntimeError("subscriber failure")
+
+    failing.switchboard.topic("fast_pose").subscribe_callback(fail)
+    with pytest.raises(RuntimeError, match="subscriber failure"):
+        failing.run()
+    assert profile._tracer is outer
+
+
+def test_traced_run_keeps_kernel_spans_when_another_runtime_is_built():
+    """Task blocks nest in the running runtime's spans, not in those of
+    whichever traced runtime was built last."""
+    from repro.audio import encoding, playback
+    from repro.perception.vio import msckf
+
+    config = SystemConfig(duration_s=0.5, fidelity="full", seed=0)
+    first = build_runtime(DESKTOP, "sponza", config, observability=True)
+    second = build_runtime(DESKTOP, "sponza", config, observability=True)
+    profile.enable_profiling(True)
+    first.run()
+    tracer = first.observability.tracer
+    kernels = [s for s in tracer.spans if s.kind == "kernel"]
+    expected = {
+        f"{component}.{task}"
+        for component, tasks in (
+            ("audio_encoding", encoding.TASK_NAMES),
+            ("audio_playback", playback.TASK_NAMES),
+            ("msckf", msckf.TASK_NAMES),
+        )
+        for task in tasks
+    }
+    assert {k.name for k in kernels} == expected
+    for kernel in kernels:
+        parent = tracer.get(kernel.parent_id)
+        assert parent.kind == "invocation" and parent.track == kernel.track
+    assert not [s for s in second.observability.tracer.spans if s.kind == "kernel"]
 
 
 # ---------------------------------------------------------------------------
@@ -391,27 +444,13 @@ def test_standalone_supervisor_works_without_switchboard():
 
 
 # ---------------------------------------------------------------------------
-# Profiler under parallel_map + test isolation (satellite)
+# Profiler test isolation
 # ---------------------------------------------------------------------------
-
-
-def _square(x):
-    return profile_square(x)
 
 
 @profile.profiled("obs_test.square")
 def profile_square(x):
     return x * x
-
-
-def test_parallel_map_merges_worker_profile_records():
-    profile.enable_profiling(True)
-    profile.reset_profile()
-    results = parallel_map(_square, list(range(10)), processes=2)
-    assert results == [x * x for x in range(10)]
-    summary = profile.profile_summary()
-    assert summary["obs_test.square"]["calls"] == 10
-    assert summary["obs_test.square"]["total_s"] > 0
 
 
 def test_profiler_state_isolated_between_tests():
@@ -430,3 +469,73 @@ def test_determinism_same_seed_same_trace():
         return chrome_trace(result.observability.tracer)
 
     assert run_once() == run_once()
+
+
+# ---------------------------------------------------------------------------
+# The critical-path CLI's gate
+# ---------------------------------------------------------------------------
+
+GATE_ARGS = ["--duration", "1", "--fidelity", "model"]
+
+
+def test_critical_path_cli_passes_and_writes_valid_trace(tmp_path):
+    out = tmp_path / "chrome_trace.json"
+    assert critical_path_cli.main(GATE_ARGS + ["--trace-out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["traceEvents"]
+    assert validate_chrome_trace(payload) == []
+
+
+def _unlink(frames, every):
+    """Frames with every ``every``-th frame's IMU lineage cut."""
+    return [replace(f, linked_to_imu=False) if i % every == 0 else f for i, f in enumerate(frames)]
+
+
+def _shift_first(frames, **deltas):
+    """Frames with the first frame's fields moved by ``deltas``."""
+    first = frames[0]
+    shifted = replace(first, **{k: getattr(first, k) + v for k, v in deltas.items()})
+    return [shifted] + frames[1:]
+
+
+def _doctor_frames(monkeypatch, doctor):
+    real = RuntimeResult.critical_paths
+    monkeypatch.setattr(RuntimeResult, "critical_paths", lambda self: doctor(real(self)))
+
+
+def test_critical_path_cli_passes_inside_the_bars(monkeypatch):
+    # One frame in 50 unlinked (lineage 0.98 >= 0.95) and a 0.5 us error
+    # (<= 1e-6 s) stay inside the gate.
+    _doctor_frames(monkeypatch, lambda frames: _shift_first(_unlink(frames, 50), imu_age=0.5e-6))
+    assert critical_path_cli.main(GATE_ARGS) == 0
+
+
+FRAME_FAILURES = {
+    # One frame in ten unlinked: lineage at most 0.90.
+    "lineage": (lambda frames: _unlink(frames, 10), "lineage"),
+    "parity": (lambda frames: _shift_first(frames, imu_age=2e-6), "parity error"),
+    "unmatched": (lambda frames: _shift_first(frames, frame_time=1e-3), "matched an online MTP sample"),
+    "no_frames": (lambda frames: [], "no displayed frames"),
+}
+
+
+@pytest.mark.parametrize("failure", sorted(FRAME_FAILURES))
+def test_critical_path_cli_fails_on_bad_frames(failure, monkeypatch, capsys):
+    doctor, message = FRAME_FAILURES[failure]
+    _doctor_frames(monkeypatch, doctor)
+    assert critical_path_cli.main(GATE_ARGS) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_critical_path_cli_fails_on_invalid_trace(monkeypatch, capsys):
+    # Validated with or without --trace-out.
+    real = RuntimeResult.chrome_trace
+    negative = {"name": "negative", "ph": "X", "ts": -1.0, "dur": 1.0, "pid": 1, "tid": 1}
+
+    def invalid(self):
+        trace = real(self)
+        return {**trace, "traceEvents": trace["traceEvents"] + [negative]}
+
+    monkeypatch.setattr(RuntimeResult, "chrome_trace", invalid)
+    assert critical_path_cli.main(GATE_ARGS) == 1
+    assert "chrome trace schema" in capsys.readouterr().err

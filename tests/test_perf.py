@@ -6,8 +6,8 @@ Two kinds of guarantees:
   in ``tests/kernel_oracles.py`` -- bit-exact for TSDF culling, which only
   skips voxels that cannot project into the image, and to atol 1e-8 for
   WGS, where FFT batching reassociates floating-point sums.
-- **Utilities**: the plan/array caches, the task timer and profiling
-  hooks, and the process-pool ``parallel_map`` behave as documented.
+- **Utilities**: the plan cache, the task timer and the profiling hooks
+  behave as documented.
 """
 
 import numpy as np
@@ -20,15 +20,9 @@ from repro.maths.quaternion import matrix_to_quat, quat_from_axis_angle
 from repro.maths.se3 import Pose
 from repro.perception.reconstruction.tsdf import TsdfVolume
 from repro.perf import (
-    ArrayCache,
     PlanCache,
     TaskTimer,
-    batched_fft2,
-    batched_ifft2,
     enable_profiling,
-    fft2,
-    ifft2,
-    parallel_map,
     profile_summary,
     profiled,
     profiling_enabled,
@@ -38,34 +32,6 @@ from repro.perf import (
 from repro.sensors.depth import DepthCamera, DepthScene
 from repro.visual.hologram import WeightedGerchbergSaxton
 from tests.kernel_oracles import ReferenceWgs, integrate_full_grid
-
-
-# ---------------------------------------------------------------------------
-# FFT helpers
-# ---------------------------------------------------------------------------
-
-
-def test_fft_roundtrip_matches_numpy():
-    rng = np.random.default_rng(0)
-    field = rng.random((16, 16)) + 1j * rng.random((16, 16))
-    assert np.allclose(fft2(field), np.fft.fft2(field), atol=1e-12)
-    assert np.allclose(ifft2(fft2(field)), field, atol=1e-12)
-
-
-def test_batched_fft_matches_per_slice():
-    rng = np.random.default_rng(1)
-    stack = rng.random((3, 8, 8)) + 1j * rng.random((3, 8, 8))
-    batched = batched_fft2(stack)
-    for k in range(3):
-        assert np.allclose(batched[k], fft2(stack[k]), atol=1e-12)
-    assert np.allclose(batched_ifft2(batched), stack, atol=1e-12)
-
-
-def test_batched_fft_rejects_low_rank():
-    with pytest.raises(ValueError):
-        batched_fft2(np.zeros(4))
-    with pytest.raises(ValueError):
-        batched_ifft2(np.zeros(4))
 
 
 # ---------------------------------------------------------------------------
@@ -288,17 +254,6 @@ def test_plan_cache_evicts_oldest():
     assert "b" in cache and "c" in cache
 
 
-def test_array_cache_reuses_and_rebuilds():
-    cache = ArrayCache()
-    first = cache.scratch("buf", (4, 4))
-    second = cache.scratch("buf", (4, 4))
-    assert first is second
-    resized = cache.scratch("buf", (8, 8))
-    assert resized.shape == (8, 8)
-    zeroed = cache.scratch("buf", (8, 8), zeroed=True)
-    assert zeroed is resized and not zeroed.any()
-
-
 # ---------------------------------------------------------------------------
 # Profiling hooks
 # ---------------------------------------------------------------------------
@@ -382,22 +337,3 @@ def test_task_timer_records_component_task_while_profiling():
     assert summary["unit.load"]["calls"] == 2
     assert summary["unit.store"]["calls"] == 1
     assert set(summary) == {"unit.load", "unit.store"}
-
-
-# ---------------------------------------------------------------------------
-# parallel_map
-# ---------------------------------------------------------------------------
-
-
-def _square(x):
-    return x * x
-
-
-def test_parallel_map_preserves_order():
-    items = list(range(10))
-    assert parallel_map(_square, items, processes=2) == [x * x for x in items]
-
-
-def test_parallel_map_sequential_fallback():
-    assert parallel_map(_square, [1, 2, 3], processes=1) == [1, 4, 9]
-    assert parallel_map(_square, [], processes=4) == []

@@ -349,6 +349,16 @@ def test_wgs_validation():
     for depth in (float("nan"), float("inf")):
         with pytest.raises(ValueError):
             WeightedGerchbergSaxton(resolution=64, depths_m=(depth,))
+    for bad in (0.0, -5e-7, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="wavelength_m"):
+            WeightedGerchbergSaxton(resolution=64, wavelength_m=bad)
+        with pytest.raises(ValueError, match="pixel_pitch_m"):
+            WeightedGerchbergSaxton(resolution=64, pixel_pitch_m=bad)
+    for bad in (float("nan"), float("inf")):
+        target = np.ones((64, 64))
+        target[3, 5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            solver.solve([target])
 
 
 def test_focal_stack_partitions_luminance(sponza_frame):
