@@ -1,12 +1,9 @@
-# Convenience targets; see docs/performance.md for the check/bench loop.
+# Convenience targets; see docs/performance.md for the check loop.
 
-.PHONY: check test bench
+.PHONY: check test
 
 check:
 	bash scripts/check.sh
 
 test:
 	PYTHONPATH=src python -m pytest -x -q
-
-bench:
-	PYTHONPATH=src python benchmarks/perf_harness.py

@@ -1,12 +1,10 @@
 #!/usr/bin/env bash
-# Fast pre-commit check: the test suite minus the slow-marked tests, then
-# the perf harness in smoke mode (parity gate; smoke timings are not
-# meaningful). Run the full suite with `make test` before shipping.
+# Fast pre-commit check: the test suite minus the slow-marked tests. Run
+# the full suite with `make test` before shipping.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 python -m pytest -q -m "not slow"
-python benchmarks/perf_harness.py --quick --json /tmp/bench_smoke.json
 echo "check: OK"

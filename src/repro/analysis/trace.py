@@ -43,10 +43,6 @@ class Trace:
         """Time of the last recorded event."""
         return self.events[-1].publish_time if self.events else 0.0
 
-    def for_topic(self, topic: str) -> List[TraceEvent]:
-        """All events of one topic, in publication order."""
-        return [e for e in self.events if e.topic == topic]
-
     def counts(self) -> Dict[str, int]:
         """Events per topic."""
         result: Dict[str, int] = {}

@@ -9,6 +9,7 @@ ranges are the paper's reported tunable ranges, kept so that experiments
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
@@ -70,7 +71,6 @@ class SystemConfig:
     # Audio pipeline
     audio_rate_hz: float = 48.0
     audio_block_size: int = 1024
-    audio_sample_rate_hz: int = 48000
     # Run control
     duration_s: float = 30.0
     seed: int = 0
@@ -101,8 +101,8 @@ class SystemConfig:
             raise ValueError(f"audio rate out of range: {self.audio_rate_hz}")
         if not 256 <= self.audio_block_size <= 2048:
             raise ValueError(f"audio block size out of range: {self.audio_block_size}")
-        if self.duration_s <= 0:
-            raise ValueError(f"duration must be positive: {self.duration_s}")
+        if not 0 < self.duration_s < math.inf:
+            raise ValueError(f"duration must be positive and finite: {self.duration_s}")
         if self.fidelity not in ("model", "full"):
             raise ValueError(f"fidelity must be 'model' or 'full': {self.fidelity}")
         if self.vio_quality not in ("standard", "high"):

@@ -18,7 +18,6 @@ from repro.maths.quaternion import (
     quat_multiply,
     quat_normalize,
     quat_rotate,
-    quat_to_matrix,
 )
 
 
@@ -79,11 +78,6 @@ class Pose:
         )
         if self.position.shape != (3,):
             raise ValueError(f"position must be shape (3,), got {self.position.shape}")
-
-    @property
-    def rotation_matrix(self) -> np.ndarray:
-        """Body-to-world rotation matrix."""
-        return quat_to_matrix(self.orientation)
 
     def transform_point(self, point_body: np.ndarray) -> np.ndarray:
         """Body-frame point(s) -> world frame."""

@@ -21,7 +21,7 @@ from typing import Tuple
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
-from repro.perf import profiled
+from repro.perf import span
 
 # Pixels per degree of a typical desktop viewing setup (the FLIP default
 # assumes 0.7 m viewing distance on a 0.5 m wide 3840-px monitor ~ 67 ppd).
@@ -88,7 +88,6 @@ def _feature_difference(ref_y: np.ndarray, test_y: np.ndarray, ppd: float) -> np
     return combined
 
 
-@profiled("metrics.flip")
 def flip(
     reference: np.ndarray,
     test: np.ndarray,
@@ -99,29 +98,30 @@ def flip(
 
     Inputs are (H, W, 3) sRGB images in [0, 1].
     """
-    reference = np.asarray(reference, dtype=float)
-    test = np.asarray(test, dtype=float)
-    if reference.shape != test.shape:
-        raise ValueError(f"shape mismatch: {reference.shape} vs {test.shape}")
-    if reference.ndim != 3 or reference.shape[2] != 3:
-        raise ValueError(f"expected (H, W, 3) images, got {reference.shape}")
-    if not 0 < pixels_per_degree < np.inf:
-        raise ValueError(f"pixels_per_degree must be positive and finite: {pixels_per_degree}")
+    with span("metrics.flip"):
+        reference = np.asarray(reference, dtype=float)
+        test = np.asarray(test, dtype=float)
+        if reference.shape != test.shape:
+            raise ValueError(f"shape mismatch: {reference.shape} vs {test.shape}")
+        if reference.ndim != 3 or reference.shape[2] != 3:
+            raise ValueError(f"expected (H, W, 3) images, got {reference.shape}")
+        if not 0 < pixels_per_degree < np.inf:
+            raise ValueError(f"pixels_per_degree must be positive and finite: {pixels_per_degree}")
 
-    opp_ref = _csf_filter(_to_opponent(reference), pixels_per_degree)
-    opp_test = _csf_filter(_to_opponent(test), pixels_per_degree)
-    color_diff = _hyab(opp_ref, opp_test)
-    # Map HyAB distance to [0, 1) with an exponential soft knee (the
-    # published metric uses a calibrated power remap; the knee constant is
-    # chosen so a full black<->white flip maps to ~0.95).
-    color_error = 1.0 - np.exp(-3.0 * color_diff)
+        opp_ref = _csf_filter(_to_opponent(reference), pixels_per_degree)
+        opp_test = _csf_filter(_to_opponent(test), pixels_per_degree)
+        color_diff = _hyab(opp_ref, opp_test)
+        # Map HyAB distance to [0, 1) with an exponential soft knee (the
+        # published metric uses a calibrated power remap; the knee constant is
+        # chosen so a full black<->white flip maps to ~0.95).
+        color_error = 1.0 - np.exp(-3.0 * color_diff)
 
-    feature_error = _feature_difference(opp_ref[..., 0], opp_test[..., 0], pixels_per_degree)
+        feature_error = _feature_difference(opp_ref[..., 0], opp_test[..., 0], pixels_per_degree)
 
-    # FLIP's merge: color error amplified where feature differences exist.
-    error = color_error ** (1.0 - feature_error)
-    error = np.clip(error, 0.0, 1.0)
-    return error if full else float(error.mean())
+        # FLIP's merge: color error amplified where feature differences exist.
+        error = color_error ** (1.0 - feature_error)
+        error = np.clip(error, 0.0, 1.0)
+        return error if full else float(error.mean())
 
 
 def one_minus_flip(reference: np.ndarray, test: np.ndarray, **kwargs) -> float:

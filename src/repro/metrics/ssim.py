@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
-from repro.perf import profiled
+from repro.perf import span
 
 _TRUNCATE = 3.5  # ~11x11 support at sigma=1.5
 
@@ -28,7 +28,6 @@ def _validate(reference: np.ndarray, test: np.ndarray, data_range: float, sigma:
         raise ValueError(f"expected 2-D or 3-D image, got shape {reference.shape}")
 
 
-@profiled("metrics.ssim")
 def ssim(
     reference: np.ndarray,
     test: np.ndarray,
@@ -41,10 +40,11 @@ def ssim(
     Accepts (H, W) or (H, W, C); returns a float (or the SSIM map when
     ``full`` is True).
     """
-    reference = np.asarray(reference, dtype=float)
-    test = np.asarray(test, dtype=float)
-    _validate(reference, test, data_range, sigma)
-    return _ssim(reference, test, data_range, sigma, full)
+    with span("metrics.ssim"):
+        reference = np.asarray(reference, dtype=float)
+        test = np.asarray(test, dtype=float)
+        _validate(reference, test, data_range, sigma)
+        return _ssim(reference, test, data_range, sigma, full)
 
 
 def _ssim(

@@ -1,7 +1,7 @@
 """Causal span tracing on the simulated clock.
 
 A :class:`Span` is one timed unit of work -- a plugin invocation, a
-resource phase inside it, or a ``@profiled`` kernel call nested within.
+resource phase inside it, or a kernel's ``span()`` block nested within.
 Spans form trees via ``parent_id`` (synchronous causality: the trigger
 event that spawned an invocation) and DAGs via :class:`SpanLink`
 (asynchronous causality: a ``get_latest`` read of a topic mid-iteration).

@@ -27,10 +27,6 @@ class SurfelCloud:
     def __len__(self) -> int:
         return len(self.positions)
 
-    def surface_area_estimate(self, voxel_size: float) -> float:
-        """Crude area estimate: one voxel-face patch per surfel."""
-        return len(self.positions) * voxel_size * voxel_size
-
     def save_ply(self, path: str) -> None:
         """Write an ASCII PLY point cloud (openable in MeshLab etc.)."""
         with open(path, "w") as handle:

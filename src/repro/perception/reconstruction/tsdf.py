@@ -14,9 +14,8 @@ image, so only the surviving blocks (typically ~10% of the volume for a
 70-degree FOV camera inside the workspace) are gathered and projected.
 The per-voxel arithmetic on surviving voxels is that of projecting *all*
 ``N^3`` voxel centers, so the fused grid is **bit-exact** against the
-full-grid formulation kept in ``tests/kernel_oracles.py`` -- the parity
-tests assert array equality, and ``benchmarks/perf_harness.py`` measures
-the speedup.
+full-grid formulation kept in ``tests/kernel_oracles.py``, which the parity
+tests assert with array equality.
 
 The grid itself stays float32 end-to-end; every per-frame temporary is
 sized to the surviving-voxel count instead of the full grid.
@@ -31,7 +30,7 @@ import numpy as np
 
 from repro.maths.quaternion import quat_to_matrix
 from repro.maths.se3 import Pose
-from repro.perf import profiled
+from repro.perf import span
 from repro.sensors.depth import DepthCamera
 
 # Voxels per cull-block edge; blocks at the far grid edges may be smaller.
@@ -137,48 +136,48 @@ class TsdfVolume:
             keep &= block_cam @ plane > -radii
         return self._block_perm[np.repeat(keep, self._block_sizes)]
 
-    @profiled("tsdf.integrate")
     def integrate(self, depth: np.ndarray, pose: Pose, camera: DepthCamera) -> int:
         """Fuse one depth frame taken from ``pose``; returns voxels updated."""
-        selected = self._visible_voxels(pose, camera)
-        if len(selected) == 0:
-            return 0
-        r_cw, t = self._camera_pose_to_extrinsics(pose, camera)
-        cam = self._centers[selected] @ r_cw.T + t
-        z = cam[:, 2]
-        in_front = z > 1e-3
-        u = np.full(len(z), -1.0)
-        v = np.full(len(z), -1.0)
-        zs = np.where(in_front, z, 1.0)
-        u[in_front] = (camera.fx * cam[in_front, 0] / zs[in_front]) + camera.cx
-        v[in_front] = (camera.fy * cam[in_front, 1] / zs[in_front]) + camera.cy
-        ui = np.round(u).astype(int)
-        vi = np.round(v).astype(int)
-        in_image = (
-            in_front
-            & (ui >= 0)
-            & (ui < camera.width)
-            & (vi >= 0)
-            & (vi < camera.height)
-        )
-        measured = np.zeros(len(z))
-        measured[in_image] = depth[vi[in_image], ui[in_image]]
-        valid = in_image & (measured > 1e-3)
-        sdf = measured - z
-        # Only fuse voxels in front of or just behind the surface.
-        fuse = valid & (sdf > -self.truncation_m)
-        tsdf_new = np.clip(sdf / self.truncation_m, -1.0, 1.0)
+        with span("tsdf.integrate"):
+            selected = self._visible_voxels(pose, camera)
+            if len(selected) == 0:
+                return 0
+            r_cw, t = self._camera_pose_to_extrinsics(pose, camera)
+            cam = self._centers[selected] @ r_cw.T + t
+            z = cam[:, 2]
+            in_front = z > 1e-3
+            u = np.full(len(z), -1.0)
+            v = np.full(len(z), -1.0)
+            zs = np.where(in_front, z, 1.0)
+            u[in_front] = (camera.fx * cam[in_front, 0] / zs[in_front]) + camera.cx
+            v[in_front] = (camera.fy * cam[in_front, 1] / zs[in_front]) + camera.cy
+            ui = np.round(u).astype(int)
+            vi = np.round(v).astype(int)
+            in_image = (
+                in_front
+                & (ui >= 0)
+                & (ui < camera.width)
+                & (vi >= 0)
+                & (vi < camera.height)
+            )
+            measured = np.zeros(len(z))
+            measured[in_image] = depth[vi[in_image], ui[in_image]]
+            valid = in_image & (measured > 1e-3)
+            sdf = measured - z
+            # Only fuse voxels in front of or just behind the surface.
+            fuse = valid & (sdf > -self.truncation_m)
+            tsdf_new = np.clip(sdf / self.truncation_m, -1.0, 1.0)
 
-        flat_tsdf = self.tsdf.reshape(-1)
-        flat_weight = self.weight.reshape(-1)
-        fused_idx = selected[fuse]
-        w_old = flat_weight[fused_idx]
-        w_new = np.minimum(w_old + 1.0, self.max_weight)
-        flat_tsdf[fused_idx] = (
-            flat_tsdf[fused_idx] * w_old + tsdf_new[fuse]
-        ) / np.maximum(w_new, 1.0)
-        flat_weight[fused_idx] = w_new
-        return int(fuse.sum())
+            flat_tsdf = self.tsdf.reshape(-1)
+            flat_weight = self.weight.reshape(-1)
+            fused_idx = selected[fuse]
+            w_old = flat_weight[fused_idx]
+            w_new = np.minimum(w_old + 1.0, self.max_weight)
+            flat_tsdf[fused_idx] = (
+                flat_tsdf[fused_idx] * w_old + tsdf_new[fuse]
+            ) / np.maximum(w_new, 1.0)
+            flat_weight[fused_idx] = w_new
+            return int(fuse.sum())
 
     def world_to_voxel(self, points: np.ndarray) -> np.ndarray:
         """World coordinates -> continuous voxel indices."""

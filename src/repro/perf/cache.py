@@ -11,14 +11,14 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Hashable
 
+#: Plans one cache holds before it drops its oldest.
+MAX_ENTRIES = 64
+
 
 class PlanCache:
     """Memoize immutable precomputed arrays keyed by their parameters."""
 
-    def __init__(self, max_entries: int = 64) -> None:
-        if max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        self.max_entries = max_entries
+    def __init__(self) -> None:
         self._plans: Dict[Hashable, Any] = {}
         self.hits = 0
         self.misses = 0
@@ -30,7 +30,7 @@ class PlanCache:
         except KeyError:
             self.misses += 1
             plan = builder()
-            if len(self._plans) >= self.max_entries:
+            if len(self._plans) >= MAX_ENTRIES:
                 # Drop the oldest entry (dict preserves insertion order).
                 self._plans.pop(next(iter(self._plans)))
             self._plans[key] = plan
@@ -43,11 +43,6 @@ class PlanCache:
 
     def __contains__(self, key: Hashable) -> bool:
         return key in self._plans
-
-    def clear(self) -> None:
-        self._plans.clear()
-        self.hits = 0
-        self.misses = 0
 
 
 #: Process-wide plan cache shared by the hot-path kernels.

@@ -3,50 +3,37 @@
 :class:`TaskTimer` is the one timing primitive.  Every Table VI/VII
 component owns one and wraps each of its tasks in ``with timer("task"):``,
 which always adds the block's host seconds to ``timer.times`` (the
-component's ``task_breakdown()``).  ``span(name)`` is a one-task timer.
+component's ``task_breakdown()``).  ``span(name)`` is a one-task timer; the
+WGS, TSDF, SSIM and FLIP kernels wrap their bodies in one.
 
-Profiling is disabled by default, so ``@profiled`` costs one attribute load
-and a branch per call and a task block only updates its timer.  When
-enabled (``enable_profiling()``), every ``@profiled`` function, every
-``span(...)`` block and every task block also records wall time into a
-process-wide registry, tasks as ``<component>.<task>``, which
-``profile_summary()`` renders as plain dictionaries -- the same shape
-``benchmarks/perf_harness.py`` writes into ``BENCH_hotpaths.json``.
+Profiling is disabled by default, so a block only updates its timer.  When
+enabled (``enable_profiling()``), every ``span(...)`` block and every task
+block also records wall time into a process-wide registry, tasks as
+``<component>.<task>``, which ``profile_summary()`` renders as plain
+dictionaries.
 """
 
 from __future__ import annotations
 
-import functools
 import threading
 import time
-from typing import Any, Callable, Dict, Iterable, Optional
+from typing import Any, Dict, Iterable, Optional
 
 _enabled = False
 _records: Dict[str, Dict[str, float]] = {}
 # Callers may record from several threads at once; one lock keeps each
 # name's calls/total/min/max aggregate exact.
 _lock = threading.Lock()
-# Optional repro.obs tracer: when set, every profiled call also becomes a
+# Optional repro.obs tracer: when set, every recorded block also becomes a
 # ``kernel`` span nested in the currently active plugin span, placing the
 # host cost of real kernels at its simulated-time location.
 _tracer: Optional[Any] = None
 
 
 def enable_profiling(on: bool = True) -> None:
-    """Globally switch registry recording of every hook on or off."""
+    """Globally switch registry recording of every timer block on or off."""
     global _enabled
     _enabled = on
-
-
-def profiling_enabled() -> bool:
-    """Whether the hooks are currently recording."""
-    return _enabled
-
-
-def reset_profile() -> None:
-    """Discard all recorded samples."""
-    with _lock:
-        _records.clear()
 
 
 def set_tracer(tracer: Optional[Any]) -> Optional[Any]:
@@ -127,40 +114,16 @@ def span(name: str) -> TaskTimer:
     return TaskTimer(None, (name,))(name)
 
 
-def profiled(name_or_fn: Optional[Callable[..., Any] | str] = None) -> Callable[..., Any]:
-    """Decorator recording each call's wall time under the function's name.
-
-    Usable bare (``@profiled``) or with an explicit registry name
-    (``@profiled("hologram.solve")``).
-    """
-
-    def decorate(fn: Callable[..., Any], name: Optional[str] = None) -> Callable[..., Any]:
-        label = name or f"{fn.__module__.rsplit('.', 1)[-1]}.{fn.__qualname__}"
-
-        @functools.wraps(fn)
-        def wrapper(*args: Any, **kwargs: Any) -> Any:
-            if not _enabled:
-                return fn(*args, **kwargs)
-            start = time.perf_counter()
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                _record(label, time.perf_counter() - start)
-
-        return wrapper
-
-    if callable(name_or_fn):
-        return decorate(name_or_fn)
-    return lambda fn: decorate(fn, name_or_fn)
-
-
 def profile_summary(reset: bool = False) -> Dict[str, Dict[str, float]]:
-    """Per-name call counts and wall-time aggregates (mean derived)."""
+    """Per-name call counts and wall-time aggregates (mean derived).
+
+    With ``reset`` the recorded samples are discarded after reading.
+    """
     with _lock:
         summary = {
             name: {**stats, "mean_s": stats["total_s"] / stats["calls"]}
             for name, stats in _records.items()
         }
-    if reset:
-        reset_profile()
+        if reset:
+            _records.clear()
     return summary

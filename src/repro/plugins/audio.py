@@ -35,11 +35,7 @@ class AudioEncodingPlugin(Plugin):
         super().__init__(Periodic(config.audio_period))
         self.config = config
         self.encoder = encoder or AudioEncoder(
-            [
-                SpeechLikeSource(sample_rate_hz=config.audio_sample_rate_hz),
-                MusicLikeSource(sample_rate_hz=config.audio_sample_rate_hz),
-            ],
-            block_size=config.audio_block_size,
+            [SpeechLikeSource(), MusicLikeSource()], block_size=config.audio_block_size
         )
 
     def iteration(self, ctx: InvocationContext) -> IterationResult:
@@ -62,8 +58,7 @@ class AudioPlaybackPlugin(Plugin):
     def __init__(self, config: SystemConfig, playback: Optional[AudioPlayback] = None) -> None:
         super().__init__(Periodic(config.audio_period))
         self.config = config
-        self.playback = playback or AudioPlayback(block_size=config.audio_block_size,
-                                                  sample_rate_hz=config.audio_sample_rate_hz)
+        self.playback = playback or AudioPlayback(block_size=config.audio_block_size)
         self.blocks_rendered = 0
 
     def iteration(self, ctx: InvocationContext) -> IterationResult:

@@ -18,9 +18,12 @@ scenarios on demand and pins the degradation behaviour down:
   soak suite (VIO crash-loop, renderer stall, IMU dropouts, corrupted
   camera frames) and a generator of random plans for property tests.
 
-Every hook is zero-overhead when no plan/supervisor is installed: the
-scheduler and switchboard pay one attribute load and a branch (the same
-discipline as :mod:`repro.perf.profile`).
+With no plan or supervisor installed, every hook in the scheduler and
+switchboard is one attribute load and a branch.
+``tests/test_resilience.py::test_zero_overhead_when_no_plan_installed``
+checks that no injector or supervisor is attached then; the benchmark's
+unsupervised workloads (``perfbench/``: ``integrated-full``,
+``model-grid``) time that path.
 """
 
 from repro.resilience.faults import (

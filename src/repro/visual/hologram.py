@@ -19,8 +19,8 @@ Per-target masks, flat indices, and norms are cached across iterations,
 and the WGS weights and plane amplitudes live only on the in-target pixels
 (weights elsewhere multiply a zero target and cannot affect the result).
 ``tests/kernel_oracles.py`` keeps the per-plane formulation (``D`` forward
-and ``D`` backward FFT pairs per iteration) that the tests and
-``benchmarks/perf_harness.py`` hold this solve to, within atol 1e-8.
+and ``D`` backward FFT pairs per iteration) that the tests hold this solve
+to, within atol 1e-8.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 import scipy.fft
 
-from repro.perf import TaskTimer, global_plan_cache, profiled
+from repro.perf import TaskTimer, global_plan_cache, span
 
 TASK_NAMES = ("hologram_to_depth", "sum", "depth_to_hologram")
 
@@ -127,106 +127,108 @@ class WeightedGerchbergSaxton:
                 raise ValueError("target amplitudes must be non-negative")
         return targets
 
-    @profiled("hologram.solve")
     def solve(
         self, targets: Sequence[np.ndarray], iterations: int = 10, seed: int = 0
     ) -> HologramResult:
         """Run WGS for the per-plane target amplitude images."""
-        targets = self._validated_targets(targets)
-        if not iterations >= 0:
-            raise ValueError(f"iterations must be non-negative: {iterations}")
-        n = self.resolution
-        d = len(self.depths_m)
-        tasks = TaskTimer("hologram", TASK_NAMES)
-        rng = np.random.default_rng(seed)
-        phase = rng.uniform(-np.pi, np.pi, (n, n))
+        with span("hologram.solve"):
+            targets = self._validated_targets(targets)
+            if not iterations >= 0:
+                raise ValueError(f"iterations must be non-negative: {iterations}")
+            n = self.resolution
+            d = len(self.depths_m)
+            tasks = TaskTimer("hologram", TASK_NAMES)
+            rng = np.random.default_rng(seed)
+            phase = rng.uniform(-np.pi, np.pi, (n, n))
 
-        # Normalize targets to unit energy so weighting is meaningful; cache
-        # the per-plane masks, flat indices, and in-target values once.
-        target_stack = np.stack(
-            [t / max(np.sqrt((t**2).sum()), 1e-12) for t in targets]
-        )
-        flat_targets = target_stack.reshape(-1)
-        plane_idx = [
-            np.flatnonzero(target_stack[k].reshape(-1) > 0) + k * n * n
-            for k in range(d)
-        ]
-        target_vals = [flat_targets[i] for i in plane_idx]
-        has_target = [len(i) > 0 for i in plane_idx]
-        # All in-target indices in one array; plane k owns slice k of it.
-        target_idx = np.concatenate(plane_idx)
-        bounds = np.cumsum([0] + [len(i) for i in plane_idx]).tolist()
-        plane_slices = [slice(bounds[k], bounds[k + 1]) for k in range(d)]
-        masked_weights = [np.ones(len(i)) for i in plane_idx]
-        h_conj = self._transfer_conj
-        ratio = np.zeros(d * n * n)
+            # Normalize targets to unit energy so weighting is meaningful; cache
+            # the per-plane masks, flat indices, and in-target values once.
+            target_stack = np.stack(
+                [t / max(np.sqrt((t**2).sum()), 1e-12) for t in targets]
+            )
+            flat_targets = target_stack.reshape(-1)
+            plane_idx = [
+                np.flatnonzero(target_stack[k].reshape(-1) > 0) + k * n * n
+                for k in range(d)
+            ]
+            target_vals = [flat_targets[i] for i in plane_idx]
+            has_target = [len(i) > 0 for i in plane_idx]
+            # All in-target indices in one array; plane k owns slice k of it.
+            target_idx = np.concatenate(plane_idx)
+            bounds = np.cumsum([0] + [len(i) for i in plane_idx]).tolist()
+            plane_slices = [slice(bounds[k], bounds[k + 1]) for k in range(d)]
+            masked_weights = [np.ones(len(i)) for i in plane_idx]
+            h_conj = self._transfer_conj
+            ratio = np.zeros(d * n * n)
 
-        holo = np.exp(1j * phase)
-        accumulated = None
-        for _iteration in range(iterations):
-            with tasks("hologram_to_depth"):
-                # Every plane shares the hologram's spectrum: one forward
-                # FFT, one batched inverse FFT, instead of D FFT pairs.
-                plane_fields = scipy.fft.ifft2(
-                    scipy.fft.fft2(holo)[None, :, :] * self._transfer_stack
-                )
-
-            with tasks("sum"):
-                # Only in-target amplitudes are used (weights and the
-                # constraint ratio vanish elsewhere): gather those fields,
-                # then take |f|.
-                amps = np.abs(plane_fields.reshape(-1)[target_idx])
-                masked_amps = [amps[s] for s in plane_slices]
-                # sum()/size and array.sum()/d are the additions and
-                # divisions a.mean() and np.mean() make, without their
-                # dispatch overhead.
-                plane_means = [
-                    float(a.sum()) / a.size if has_target[k] else 0.0
-                    for k, a in enumerate(masked_amps)
-                ]
-                mean_amp = float(np.array(plane_means).sum()) / d
-
-            with tasks("depth_to_hologram"):
-                for k in range(d):
-                    # WGS weight update: boost planes that are lagging.
-                    # Weights only matter where the target is nonzero, so
-                    # they are stored on the in-target pixels alone.
-                    if has_target[k] and plane_means[k] > 0:
-                        masked_weights[k] = (
-                            masked_weights[k]
-                            * ((mean_amp + 1e-12) / (masked_amps[k] + 1e-12)) ** 0.5
-                        )
-                    ratio[plane_idx[k]] = (
-                        masked_weights[k]
-                        * target_vals[k]
-                        / np.maximum(masked_amps[k], 1e-300)
+            holo = np.exp(1j * phase)
+            accumulated = None
+            for _iteration in range(iterations):
+                with tasks("hologram_to_depth"):
+                    # Every plane shares the hologram's spectrum: one forward
+                    # FFT, one batched inverse FFT, instead of D FFT pairs.
+                    plane_fields = scipy.fft.ifft2(
+                        scipy.fft.fft2(holo)[None, :, :] * self._transfer_stack
                     )
-                # constrained_k = w_k * t_k * exp(i*angle(f_k)) == f_k * ratio_k.
-                constrained = plane_fields * ratio.reshape(d, n, n)
-                # ifft2 is linear: sum the spectra, invert once.
-                spectra = scipy.fft.fft2(constrained)
-                accumulated = scipy.fft.ifft2(np.einsum("kij,kij->ij", spectra, h_conj))
-                holo = accumulated / np.maximum(np.abs(accumulated), 1e-300)
 
-        if accumulated is not None:
-            phase = np.angle(accumulated)
+                with tasks("sum"):
+                    # Only in-target amplitudes are used (weights and the
+                    # constraint ratio vanish elsewhere): gather those fields,
+                    # then take |f|.
+                    amps = np.abs(plane_fields.reshape(-1)[target_idx])
+                    masked_amps = [amps[s] for s in plane_slices]
+                    # sum()/size and array.sum()/d are the additions and
+                    # divisions a.mean() and np.mean() make, without their
+                    # dispatch overhead.
+                    plane_means = [
+                        float(a.sum()) / a.size if has_target[k] else 0.0
+                        for k, a in enumerate(masked_amps)
+                    ]
+                    mean_amp = float(np.array(plane_means).sum()) / d
 
-        # Final forward pass for metrics (of exp(i*phase), not of holo).
-        final_fields = self.propagate_all(np.exp(1j * phase))
-        final_amps = np.abs(final_fields)
-        plane_amps = [final_amps[k] for k in range(d)]
-        efficiencies = []
-        plane_means = []
-        for k in range(d):
-            if not has_target[k]:
-                continue
-            local = plane_idx[k] - k * n * n
-            amps_in_target = final_amps[k].reshape(-1)[local]
-            total = float((final_amps[k] ** 2).sum())
-            if total > 0:
-                efficiencies.append(float((amps_in_target**2).sum()) / total)
-                plane_means.append(float(amps_in_target.mean()))
-        return self._result(phase, plane_amps, efficiencies, plane_means, iterations, tasks.times)
+                with tasks("depth_to_hologram"):
+                    for k in range(d):
+                        # WGS weight update: boost planes that are lagging.
+                        # Weights only matter where the target is nonzero, so
+                        # they are stored on the in-target pixels alone.
+                        if has_target[k] and plane_means[k] > 0:
+                            masked_weights[k] = (
+                                masked_weights[k]
+                                * ((mean_amp + 1e-12) / (masked_amps[k] + 1e-12)) ** 0.5
+                            )
+                        ratio[plane_idx[k]] = (
+                            masked_weights[k]
+                            * target_vals[k]
+                            / np.maximum(masked_amps[k], 1e-300)
+                        )
+                    # constrained_k = w_k * t_k * exp(i*angle(f_k)) == f_k * ratio_k.
+                    constrained = plane_fields * ratio.reshape(d, n, n)
+                    # ifft2 is linear: sum the spectra, invert once.
+                    spectra = scipy.fft.fft2(constrained)
+                    accumulated = scipy.fft.ifft2(np.einsum("kij,kij->ij", spectra, h_conj))
+                    holo = accumulated / np.maximum(np.abs(accumulated), 1e-300)
+
+            if accumulated is not None:
+                phase = np.angle(accumulated)
+
+            # Final forward pass for metrics (of exp(i*phase), not of holo).
+            final_fields = self.propagate_all(np.exp(1j * phase))
+            final_amps = np.abs(final_fields)
+            plane_amps = [final_amps[k] for k in range(d)]
+            efficiencies = []
+            plane_means = []
+            for k in range(d):
+                if not has_target[k]:
+                    continue
+                local = plane_idx[k] - k * n * n
+                amps_in_target = final_amps[k].reshape(-1)[local]
+                total = float((final_amps[k] ** 2).sum())
+                if total > 0:
+                    efficiencies.append(float((amps_in_target**2).sum()) / total)
+                    plane_means.append(float(amps_in_target.mean()))
+            return self._result(
+                phase, plane_amps, efficiencies, plane_means, iterations, tasks.times
+            )
 
     @staticmethod
     def _result(

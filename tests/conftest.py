@@ -19,10 +19,10 @@ def _isolate_profiler():
     """
     from repro.perf import profile
 
-    was_enabled = profile.profiling_enabled()
+    was_enabled = profile._enabled
     yield
     profile.enable_profiling(was_enabled)
-    profile.reset_profile()
+    profile.profile_summary(reset=True)
     profile.set_tracer(None)
 
 

@@ -1,11 +1,11 @@
 """Reference formulations of the WGS and TSDF kernels.
 
-A parity oracle for ``tests/test_perf.py`` and ``benchmarks/perf_harness.py``:
-the functions below are the per-plane Weighted Gerchberg-Saxton solve and
-the full-grid TSDF integrate the production kernels were derived from,
-with their bodies unchanged.  Production must match them: the batched WGS
-solve to atol 1e-8 (FFT batching reassociates sums), the frustum-culled
-TSDF integrate bitwise.  Not collected as a test module.
+A parity oracle for ``tests/test_perf.py``: the functions below are the
+per-plane Weighted Gerchberg-Saxton solve and the full-grid TSDF integrate
+the production kernels were derived from, with their bodies unchanged.
+Production must match them: the batched WGS solve to atol 1e-8 (FFT
+batching reassociates sums), the frustum-culled TSDF integrate bitwise.
+Not collected as a test module.
 """
 
 from __future__ import annotations

@@ -43,6 +43,8 @@ def test_defaults_match_table_iii_tuned_values():
         ("audio_block_size", 128),
         ("audio_block_size", 4096),
         ("duration_s", -1.0),
+        ("duration_s", float("nan")),
+        ("duration_s", float("inf")),
         ("fidelity", "half"),
         ("vio_quality", "ultra"),
     ],

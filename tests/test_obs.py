@@ -8,7 +8,7 @@ Covers the acceptance criteria of the causal-tracing work:
   MTP metric per frame to 1e-6 s;
 - supervisor lifecycle events are routed onto ``sys/observability``;
 - every core hook is a None-check: untraced runs see no trace state;
-- the profiler nests ``@profiled`` kernels and task blocks as spans in
+- the profiler nests kernel ``span()`` blocks and task blocks as spans in
   the invocation spans of the run that is running.
 """
 
@@ -267,7 +267,7 @@ def test_scheduler_and_switchboard_metrics_populated(traced_run):
 
 
 def test_kernel_spans_nest_inside_invocations():
-    """@profiled kernels fire as kernel spans inside the active plugin span
+    """``span()`` blocks fire as kernel spans inside the active plugin span
     when profiling is enabled -- and stay span-free outside activations."""
     tracer = Tracer()
     profile.set_tracer(tracer)
@@ -448,15 +448,15 @@ def test_standalone_supervisor_works_without_switchboard():
 # ---------------------------------------------------------------------------
 
 
-@profile.profiled("obs_test.square")
 def profile_square(x):
-    return x * x
+    with profile.span("obs_test.square"):
+        return x * x
 
 
 def test_profiler_state_isolated_between_tests():
     # The autouse fixture must have cleared the previous test's registry
     # and restored the disabled default.
-    assert not profile.profiling_enabled()
+    assert not profile._enabled
     assert profile.profile_summary() == {}
 
 

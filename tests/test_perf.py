@@ -6,8 +6,8 @@ Two kinds of guarantees:
   in ``tests/kernel_oracles.py`` -- bit-exact for TSDF culling, which only
   skips voxels that cannot project into the image, and to atol 1e-8 for
   WGS, where FFT batching reassociates floating-point sums.
-- **Utilities**: the plan cache, the task timer and the profiling hooks
-  behave as documented.
+- **Utilities**: the plan cache, the task timer and the kernels' profiling
+  spans behave as documented.
 """
 
 import numpy as np
@@ -18,17 +18,11 @@ from scipy.ndimage import gaussian_filter
 
 from repro.maths.quaternion import matrix_to_quat, quat_from_axis_angle
 from repro.maths.se3 import Pose
+from repro.metrics.flip import flip
+from repro.metrics.ssim import ssim
 from repro.perception.reconstruction.tsdf import TsdfVolume
-from repro.perf import (
-    PlanCache,
-    TaskTimer,
-    enable_profiling,
-    profile_summary,
-    profiled,
-    profiling_enabled,
-    reset_profile,
-    span,
-)
+from repro.perf import PlanCache, TaskTimer, enable_profiling, profile, profile_summary, span
+from repro.perf.cache import MAX_ENTRIES
 from repro.sensors.depth import DepthCamera, DepthScene
 from repro.visual.hologram import WeightedGerchbergSaxton
 from tests.kernel_oracles import ReferenceWgs, integrate_full_grid
@@ -246,56 +240,60 @@ def test_plan_cache_builds_once():
 
 
 def test_plan_cache_evicts_oldest():
-    cache = PlanCache(max_entries=2)
-    cache.get_or_build("a", lambda: 1)
-    cache.get_or_build("b", lambda: 2)
-    cache.get_or_build("c", lambda: 3)
-    assert "a" not in cache
-    assert "b" in cache and "c" in cache
+    cache = PlanCache()
+    for key in range(MAX_ENTRIES + 1):
+        cache.get_or_build(key, lambda: key)
+    assert 0 not in cache
+    assert 1 in cache and MAX_ENTRIES in cache
+    assert len(cache) == MAX_ENTRIES
 
 
 # ---------------------------------------------------------------------------
-# Profiling hooks
+# Profiling: the kernels' spans and the task timer
 # ---------------------------------------------------------------------------
 
+KERNEL_SPANS = ("hologram.solve", "tsdf.integrate", "metrics.ssim", "metrics.flip")
 
-def test_profiling_disabled_by_default_and_cheap():
-    reset_profile()
-    enable_profiling(False)
 
-    @profiled
-    def work():
-        return 42
+def _run_kernels():
+    """Call each span-timed kernel once, at a small size."""
+    solver = WeightedGerchbergSaxton(resolution=16, depths_m=(0.05, 0.12))
+    solver.solve(_focal_targets(16, 2, seed=0), iterations=1)
+    camera = DepthCamera(DepthScene.default(seed=3), width=40, height=30, noise_std=0.0)
+    pose = _tsdf_poses()[0]
+    TsdfVolume(resolution=16).integrate(camera.render(pose, noisy=False), pose, camera)
+    image = np.random.default_rng(0).random((24, 32, 3))
+    ssim(image, 0.9 * image)
+    flip(image, 0.9 * image)
 
-    assert work() == 42
+
+def test_profiling_disabled_by_default_and_cheap(monkeypatch):
+    """Disabled, the kernels' spans never reach the registry."""
+    assert not profile._enabled
+
+    def record(name, elapsed):
+        raise AssertionError(f"{name} recorded while profiling is disabled")
+
+    monkeypatch.setattr(profile, "_record", record)
+    _run_kernels()
     assert profile_summary() == {}
 
 
 def test_profiling_records_spans_and_calls():
-    reset_profile()
     enable_profiling(True)
-    try:
-
-        @profiled("unit.work")
-        def work():
-            return 7
-
-        work()
-        work()
-        with span("unit.block"):
-            with span("unit.inner"):
-                pass
-        summary = profile_summary()
-        assert summary["unit.work"]["calls"] == 2
-        assert summary["unit.block"]["calls"] == 1
-        assert summary["unit.inner"]["calls"] == 1
-        assert summary["unit.block"]["total_s"] >= summary["unit.inner"]["total_s"]
-        assert summary["unit.work"]["total_s"] >= 0.0
-        assert "mean_s" in summary["unit.work"]
-    finally:
-        enable_profiling(False)
-        reset_profile()
-    assert not profiling_enabled()
+    _run_kernels()
+    _run_kernels()
+    with span("unit.block"):
+        with span("unit.inner"):
+            pass
+    summary = profile_summary(reset=True)
+    kernel_calls = {name: summary[name]["calls"] for name in KERNEL_SPANS}
+    assert kernel_calls == dict.fromkeys(KERNEL_SPANS, 2)
+    assert summary["unit.block"]["calls"] == 1
+    assert summary["unit.inner"]["calls"] == 1
+    assert summary["unit.block"]["total_s"] >= summary["unit.inner"]["total_s"]
+    assert "mean_s" in summary["metrics.ssim"]
+    assert profile_summary() == {}
 
 
 def test_task_timer_accumulates_in_table_order():
@@ -321,7 +319,6 @@ def test_task_timer_unknown_task_raises():
 
 
 def test_task_timer_records_component_task_while_profiling():
-    reset_profile()
     timer = TaskTimer("unit", ("load", "store"))
     with timer("load"):
         pass
