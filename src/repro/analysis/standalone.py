@@ -81,6 +81,9 @@ def characterize_reconstruction(frames: int = 30, seed: int = 3) -> TaskBreakdow
     The first ``_RECONSTRUCTION_WARMUP`` frames stay out of
     ``pose_error_cm``, so ``frames`` must exceed it.
     """
+    # The kernel imports scipy at its first call; pay that before the timers.
+    import scipy.ndimage
+
     from repro.maths.se3 import Pose
     from repro.perception.reconstruction.pipeline import ReconstructionPipeline
     from repro.sensors.depth import DepthCamera, DepthScene
@@ -157,6 +160,9 @@ def characterize_reprojection(frames: int = 24, seed: int = 0) -> TaskBreakdown:
     ``opengl_state`` (per-eye warp setup: homography/mesh computation --
     the driver-call stand-in), ``reprojection`` (the actual resampling).
     """
+    # The kernel imports scipy at its first call; pay that before the timers.
+    import scipy.interpolate
+
     from repro.maths.quaternion import quat_from_axis_angle, quat_multiply
     from repro.maths.se3 import Pose
     from repro.perf import TaskTimer
@@ -201,6 +207,9 @@ def characterize_reprojection(frames: int = 24, seed: int = 0) -> TaskBreakdown:
 
 def characterize_hologram(iterations: int = 8, resolution: int = 128, seed: int = 0) -> TaskBreakdown:
     """Hologram generation on a rendered focal stack (Table VII rows)."""
+    # The kernel imports scipy at its first call; pay that before the timers.
+    import scipy.fft
+
     from repro.maths.se3 import Pose
     from repro.visual.hologram import WeightedGerchbergSaxton, focal_stack_from_frame
     from repro.visual.renderer import RenderCamera, Renderer

@@ -69,6 +69,8 @@ class HrtfSet:
     def __post_init__(self) -> None:
         if self.fft_size & (self.fft_size - 1):
             raise ValueError("fft_size must be a power of two")
+        if not 0 < self.sample_rate_hz < np.inf:
+            raise ValueError(f"sample rate must be positive and finite: {self.sample_rate_hz}")
         self.speaker_directions = fibonacci_directions(self.n_speakers)
         freqs = np.fft.rfftfreq(self.fft_size, d=1.0 / self.sample_rate_hz)
         responses = np.empty((self.n_speakers, 2, len(freqs)), dtype=complex)

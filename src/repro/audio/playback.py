@@ -39,6 +39,8 @@ class AudioPlayback:
     def __post_init__(self) -> None:
         if not 256 <= self.block_size <= 2048:
             raise ValueError(f"block size out of range: {self.block_size}")
+        if not 0 < self.sample_rate_hz < np.inf:
+            raise ValueError(f"sample rate must be positive and finite: {self.sample_rate_hz}")
         # Zoom mixes W with the first-order X channel, so order 0 cannot play.
         if not 1 <= self.order <= 3:
             raise ValueError(f"playback order must be in [1, 3]: {self.order}")

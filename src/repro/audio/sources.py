@@ -23,6 +23,8 @@ class SpeechLikeSource:
     position: np.ndarray = field(default_factory=lambda: np.array([2.0, 1.0, 1.6]))
 
     def __post_init__(self) -> None:
+        if not 0 < self.sample_rate_hz < np.inf:
+            raise ValueError(f"sample rate must be positive and finite: {self.sample_rate_hz}")
         self._rng = np.random.default_rng(self.seed)
         self._phase = 0
         self._lp_state = 0.0
@@ -55,6 +57,8 @@ class MusicLikeSource:
     position: np.ndarray = field(default_factory=lambda: np.array([-1.5, -2.0, 1.2]))
 
     def __post_init__(self) -> None:
+        if not 0 < self.sample_rate_hz < np.inf:
+            raise ValueError(f"sample rate must be positive and finite: {self.sample_rate_hz}")
         self._phase = 0
         self._notes = np.array([261.63, 329.63, 392.0, 523.25])  # C major
 

@@ -15,7 +15,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 
 def euler_zyx_to_quat(yaw: float, pitch: float, roll: float) -> np.ndarray:
@@ -51,6 +50,67 @@ def euler_rates_to_body_omega(
     )
 
 
+def _solve_tridiagonal(dl: list, d: list, du: list, b: np.ndarray) -> np.ndarray:
+    """Solve a tridiagonal system the way LAPACK ``dgtsv`` does.
+
+    ``dl``, ``d`` and ``du`` are the sub-, main and super-diagonal as lists
+    of floats (overwritten); ``b`` is (n, k).  Gaussian elimination with
+    partial pivoting: where a sub-diagonal entry outweighs its pivot, rows
+    i and i+1 swap and ``dl[i]`` keeps the fill-in on the second
+    super-diagonal.  Every operation rounds as dgtsv's does, which is what
+    ``scipy.linalg.solve_banded((1, 1), ...)`` calls.  The natural-spline
+    matrix is strictly diagonally dominant, so no pivot is zero and
+    dgtsv's singular-matrix exit is left out.
+    """
+    n = len(d)
+    rows = list(b)
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            fact = dl[i] / d[i]
+            d[i + 1] = d[i + 1] - fact * du[i]
+            rows[i + 1] = rows[i + 1] - fact * rows[i]
+            dl[i] = 0.0
+        else:
+            fact = d[i] / dl[i]
+            d[i], temp = dl[i], d[i + 1]
+            d[i + 1] = du[i] - fact * temp
+            if i < n - 2:
+                dl[i] = du[i + 1]
+                du[i + 1] = -fact * dl[i]
+            du[i] = temp
+            rows[i], rows[i + 1] = rows[i + 1], rows[i] - fact * rows[i + 1]
+    rows[n - 1] = rows[n - 1] / d[n - 1]
+    rows[n - 2] = (rows[n - 2] - du[n - 2] * rows[n - 1]) / d[n - 2]
+    for i in range(n - 3, -1, -1):
+        rows[i] = (rows[i] - du[i] * rows[i + 1] - dl[i] * rows[i + 2]) / d[i]
+    return np.array(rows)
+
+
+def _natural_cubic(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(4, n - 1, k) coefficients of the natural cubic spline through (x, y).
+
+    The system and the arithmetic of ``CubicSpline(x, y, bc_type="natural")``
+    for n >= 4 knots: the knot slopes solve scipy's tridiagonal system, and
+    the coefficients are ``CubicHermiteSpline``'s, so ``.c`` is bitwise equal.
+    Every column of ``y`` is an independent spline over the same knots.
+    """
+    dx = np.diff(x)
+    dxr = dx[:, None]
+    slope = np.diff(y, axis=0) / dxr
+    d = np.concatenate([2 * dx[:1], 2 * (dx[:-1] + dx[1:]), 2 * dx[-1:]])
+    # scipy's end rows also add the natural condition's zero curvature times
+    # +-0.5 dx**2, a zero that changes no nonzero value.
+    b = np.empty_like(y)
+    b[0] = 3 * (y[1] - y[0])
+    b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+    b[-1] = 3 * (y[-1] - y[-2])
+    dl = [*dx[1:].tolist(), float(dx[-1])]
+    du = [float(dx[0]), *dx[:-1].tolist()]
+    s = _solve_tridiagonal(dl, d.tolist(), du, b)
+    t = (s[:-1] + s[1:] - 2 * slope) / dxr
+    return np.stack((t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1]))
+
+
 @dataclass(frozen=True)
 class SplineSample:
     """Ground-truth kinematics at one instant."""
@@ -76,6 +136,8 @@ class TrajectorySpline:
         eulers = np.asarray(eulers, dtype=float)
         if times.ndim != 1 or len(times) < 4:
             raise ValueError("need at least 4 waypoints")
+        if not all(np.isfinite(a).all() for a in (times, positions, eulers)):
+            raise ValueError("waypoints must be finite")
         if np.any(np.diff(times) <= 0):
             raise ValueError("waypoint times must be strictly increasing")
         if positions.shape != (len(times), 3) or eulers.shape != (len(times), 3):
@@ -84,20 +146,19 @@ class TrajectorySpline:
             raise ValueError("pitch waypoints too close to gimbal lock (+-pi/2)")
         self.t_start = float(times[0])
         self.t_end = float(times[-1])
-        position = CubicSpline(times, positions, bc_type="natural")
-        euler = CubicSpline(times, eulers, bc_type="natural")
-        pieces = (
-            position,
-            position.derivative(1),
-            position.derivative(2),
-            euler,
-            euler.derivative(1),
-        )
-        # One (4, intervals, 15) table: position, velocity, acceleration,
-        # Euler angles and Euler rates.  Derivatives have fewer coefficients;
-        # zero rows on top make them cubics whose extra terms add exactly 0.
+        # Positions and Euler angles share the knots, so one solve fits all
+        # six columns.  Derivatives are PPoly.derivative's: the coefficient
+        # rows times the rising factorials (3, 2, 1) and (6, 2), with zero
+        # rows on top, making every piece a cubic whose extra terms add
+        # exactly 0.  One (4, intervals, 15) table: position, velocity,
+        # acceleration, Euler angles and Euler rates.
+        c = _natural_cubic(times, np.concatenate([positions, eulers], axis=1))
+        rate = np.zeros_like(c)
+        rate[1:] = c[:3] * np.array([3.0, 2.0, 1.0])[:, None, None]
+        acceleration = np.zeros_like(c[..., :3])
+        acceleration[2:] = c[:2, :, :3] * np.array([6.0, 2.0])[:, None, None]
         table = np.concatenate(
-            [np.pad(p.c, ((4 - p.c.shape[0], 0), (0, 0), (0, 0))) for p in pieces], axis=2
+            [c[..., :3], rate[..., :3], acceleration, c[..., 3:], rate[..., 3:]], axis=2
         )
         self._knots = times.tolist()
         self._rows = table.transpose(1, 0, 2).tolist()  # per interval: c0..c3

@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from repro.perf import span
 
@@ -48,6 +47,8 @@ def _to_opponent(image: np.ndarray) -> np.ndarray:
 
 def _csf_filter(opponent: np.ndarray, ppd: float) -> np.ndarray:
     """Approximate CSF band-limiting: chromatic channels blur more."""
+    from scipy.ndimage import gaussian_filter
+
     scale = ppd / DEFAULT_PIXELS_PER_DEGREE
     out = np.empty_like(opponent)
     for c, sigma in enumerate(_CSF_SIGMAS):
@@ -62,6 +63,8 @@ def _hyab(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _edges_points(y: np.ndarray, sigma: float) -> Tuple[np.ndarray, np.ndarray]:
+    from scipy.ndimage import gaussian_filter
+
     gx = gaussian_filter(y, sigma, order=(0, 1))
     gy = gaussian_filter(y, sigma, order=(1, 0))
     edge = np.hypot(gx, gy)

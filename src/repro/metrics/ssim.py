@@ -10,7 +10,6 @@ calls, one per filtered field (mu_x, mu_y, E[x^2], E[y^2], E[xy]).
 from __future__ import annotations
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from repro.perf import span
 
@@ -62,6 +61,8 @@ def _ssim(
         ]
         stacked = np.stack(maps, axis=-1)
         return stacked if full else float(stacked.mean())
+
+    from scipy.ndimage import gaussian_filter
 
     c1 = (0.01 * data_range) ** 2
     c2 = (0.03 * data_range) ** 2

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from repro.maths.se3 import Pose
 from repro.perception.reconstruction.icp import IcpResult, icp_point_to_plane
@@ -142,6 +141,8 @@ class ReconstructionPipeline:
         valid = (depth > self.min_valid_depth_m) & (depth < self.max_valid_depth_m)
         cleaned = np.where(valid, depth, 0.0)
         if self.bilateral_sigma_px > 0:
+            from scipy.ndimage import gaussian_filter
+
             # Normalized-convolution approximation of the bilateral filter:
             # smooth only across valid pixels so holes do not bleed.
             weights = gaussian_filter(valid.astype(float), self.bilateral_sigma_px)

@@ -22,6 +22,7 @@ from repro.perception.vio.state import VioState
 from repro.perception.vio.tracker import FeatureTracker, Track
 from repro.perception.vio.triangulation import CloneObservation, triangulate
 from repro.perception.vio.update import (
+    MAX_TRACK_CLONES,
     chi2_gate,
     ekf_update,
     feature_jacobians,
@@ -69,6 +70,13 @@ class MsckfConfig:
     def __post_init__(self) -> None:
         if self.max_clones < 3:
             raise ValueError(f"max_clones must be >= 3: {self.max_clones}")
+        # A track spans at most max_clones + 1 clones (the window before
+        # marginalization).
+        if self.max_clones + 1 > MAX_TRACK_CLONES:
+            raise ValueError(
+                f"max_clones must be <= {MAX_TRACK_CLONES - 1} (chi-squared table): "
+                f"{self.max_clones}"
+            )
         if self.slam_promotion_length > self.max_clones:
             raise ValueError("slam_promotion_length cannot exceed max_clones")
 

@@ -8,11 +8,9 @@ Jacobians, nullspace projection, chi-squared check, Cholesky solves).
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy.stats import chi2 as chi2_dist
 
 from repro.maths.quaternion import quat_to_matrix
 from repro.perception.vio.state import CLONE_DIM, IMU_DIM, LANDMARK_DIM, CloneState, VioState
@@ -31,12 +29,56 @@ _SKEW_BASIS = np.array(
 )
 
 
-@lru_cache(maxsize=512)
-def chi2_threshold(dof: int, confidence: float = 0.95) -> float:
-    """Cached inverse chi-squared CDF for gating."""
-    if dof < 1:
-        raise ValueError(f"dof must be >= 1: {dof}")
-    return float(chi2_dist.ppf(confidence, dof))
+# chi2.ppf(0.95, dof) for dof = 1, 2, ..., CHI2_MAX_DOF, as scipy.stats
+# computes it.  The gates see dof 4 (one SLAM landmark from one clone) and
+# 4K - 3 (a track seen from K clones, after nullspace projection);
+# MsckfConfig keeps K within MAX_TRACK_CLONES.
+_CHI2_95 = (
+    3.841458820694124, 5.991464547107979, 7.814727903251179, 9.487729036781154,
+    11.070497693516351, 12.591587243743977, 14.067140449340169, 15.50731305586545,
+    16.918977604620448, 18.307038053275146, 19.67513757268249, 21.02606981748307,
+    22.362032494826934, 23.684791304840576, 24.995790139728616, 26.29622760486423,
+    27.58711163827534, 28.869299430392623, 30.14352720564616, 31.410432844230918,
+    32.670573340917315, 33.92443847144381, 35.17246162690806, 36.41502850180731,
+    37.65248413348277, 38.885138659830055, 40.113272069413625, 41.33713815142739,
+    42.55696780429269, 43.77297182574219, 44.98534328036513, 46.19425952027847,
+    47.39988391908093, 48.602367367294164, 49.80184956820181, 50.99846016571065,
+    52.192319730102895, 53.383540622969356, 54.572227758941736, 55.75847927888702,
+    56.94238714682408, 58.12403768086803, 59.30351202689981, 60.480886582336446,
+    61.65623337627955, 62.829620411408165, 64.00111197221803, 65.17076890356982,
+    66.3386488629688, 67.5048065495412, 68.66929391228578, 69.83216033984813,
+    70.99345283378227, 72.15321616702309, 73.31149302908324, 74.46832415930936,
+    75.62374846937608, 76.7778031560615, 77.93052380523042, 79.08194448784874,
+    80.23209784876272, 81.3810151888991, 82.5287265414718, 83.67526074272097,
+    84.82064549765667, 85.96490744123096, 87.10807219532191, 88.25016442187412,
+    89.39120787250796, 90.53122543488065, 91.67023917605484, 92.80827038310771,
+    93.94533960119225, 95.08146666924324, 96.21667075350383, 97.35097037903296,
+    98.48438345934042, 99.61692732428385, 100.74861874635032, 101.87947396543588,
+    103.00950871222618, 104.13873823027387, 105.26717729686034, 106.39484024272251,
+    107.52174097071946, 108.6478929735076, 109.77330935028795, 110.89800282268448,
+    112.02198574980785, 113.1452701425554, 114.26786767719355, 115.38978970826685,
+    116.51104728087356, 117.63165114234555, 118.75161175336736, 119.87093929856714,
+    120.98964369660958, 122.10773460981942, 123.2252214533618, 124.34211340400407,
+    125.45841940848237, 126.57414819149433, 127.68930826333825, 128.80390792721767,
+    129.91795528622893, 131.0314582500487, 132.14442454133663, 133.25686170186816,
+    134.36877709841121, 135.48017792835952, 136.591071225135, 137.7014638633707,
+    138.8113625638847, 139.92077389845574, 141.02970429440973, 142.13816003902645,
+    143.24614728377486, 144.35367204838508, 145.46074022476483, 146.56735758076744,
+    147.67352976381804, 148.77926230440488, 149.88456061944134, 150.98943001550484,
+    152.0938756919578, 153.1979027439562, 154.30151616535022, 155.40472085148204,
+    156.50752160188514,
+)
+CHI2_MAX_DOF = len(_CHI2_95)
+# The longest track the table can gate: 4 stereo rows per clone, less the
+# LANDMARK_DIM rows the nullspace projection removes.
+MAX_TRACK_CLONES = (CHI2_MAX_DOF + LANDMARK_DIM) // 4
+
+
+def chi2_threshold(dof: int) -> float:
+    """The 95% chi-squared quantile that gates a ``dof``-row measurement."""
+    if not 1 <= dof <= CHI2_MAX_DOF:
+        raise ValueError(f"dof must be in [1, {CHI2_MAX_DOF}]: {dof}")
+    return _CHI2_95[dof - 1]
 
 
 def _window_jacobians(

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
-import scipy.fft
 
 from repro.perf import TaskTimer, global_plan_cache, span
 
@@ -108,6 +107,8 @@ class WeightedGerchbergSaxton:
 
     def propagate_all(self, field_in: np.ndarray, forward: bool = True) -> np.ndarray:
         """Propagate one hologram field to every depth plane in one batch."""
+        import scipy.fft
+
         h = self._transfer_stack if forward else self._transfer_conj
         return scipy.fft.ifft2(scipy.fft.fft2(field_in)[None, :, :] * h)
 
@@ -131,6 +132,8 @@ class WeightedGerchbergSaxton:
         self, targets: Sequence[np.ndarray], iterations: int = 10, seed: int = 0
     ) -> HologramResult:
         """Run WGS for the per-plane target amplitude images."""
+        import scipy.fft
+
         with span("hologram.solve"):
             targets = self._validated_targets(targets)
             if not iterations >= 0:

@@ -24,6 +24,8 @@ from repro.audio.sources import MusicLikeSource, SpeechLikeSource
 from repro.maths.quaternion import quat_from_axis_angle, quat_to_matrix
 from repro.maths.se3 import Pose
 
+BAD_SAMPLE_RATES = (0, -48000, float("nan"), float("inf"))
+
 directions = st.tuples(
     st.floats(-1, 1, allow_nan=False),
     st.floats(-1, 1, allow_nan=False),
@@ -254,11 +256,21 @@ def test_binauralize_validation():
         hrtf.binauralize_block(np.zeros((16, 2000)))
     with pytest.raises(ValueError):
         HrtfSet(fft_size=1000)
+    for rate in BAD_SAMPLE_RATES:
+        with pytest.raises(ValueError, match="sample rate"):
+            HrtfSet(sample_rate_hz=rate)
 
 
 # ---------------------------------------------------------------------------
 # Encoder / playback components
 # ---------------------------------------------------------------------------
+
+
+def test_sources_reject_bad_sample_rate():
+    for source in (SpeechLikeSource, MusicLikeSource):
+        for rate in BAD_SAMPLE_RATES:
+            with pytest.raises(ValueError, match="sample rate"):
+                source(sample_rate_hz=rate)
 
 
 def test_sources_are_deterministic_int16():
@@ -321,6 +333,11 @@ def test_playback_construction_validation():
     for kwargs in ({"zoom_strength": 1.5}, {"zoom_strength": -1.01}, {"order": 0}, {"order": 4}):
         with pytest.raises(ValueError):
             AudioPlayback(block_size=512, **kwargs)
+    # A zero rate used to raise ZeroDivisionError; negative and NaN rates
+    # were accepted.
+    for rate in BAD_SAMPLE_RATES:
+        with pytest.raises(ValueError, match="sample rate"):
+            AudioPlayback(block_size=512, sample_rate_hz=rate)
     for order in (1, 2, 3):
         playback = AudioPlayback(order=order, block_size=512, zoom_strength=-1.0)
         stereo = playback.render_block(np.zeros(((order + 1) ** 2, 512)), Pose(np.zeros(3)))

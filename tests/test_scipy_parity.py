@@ -1,0 +1,112 @@
+"""The numpy ports that replace scipy on the integrated-run path, against scipy.
+
+An integrated run fits its trajectory spline, takes the timewarp lead's
+normal quantile and gates VIO updates without importing scipy.  Each port
+reproduces scipy's arithmetic, so the values are the same doubles: the
+natural ``CubicSpline`` (LAPACK dgtsv for the knot slopes), ``norm.ppf``
+(cephes ndtri) and the committed ``chi2.ppf(0.95, dof)`` table.
+
+Equality is bitwise under scipy 1.17.1, the release the table was taken
+from.  Another release may round a quantile differently, so there the bar
+is a 1e-12 relative error.
+"""
+
+import numpy as np
+import scipy
+from scipy.interpolate import CubicSpline
+from scipy.special import ndtri
+from scipy.stats import chi2
+
+from repro.hardware.timing import normal_quantile
+from repro.maths.splines import TrajectorySpline
+from repro.perception.vio.update import CHI2_MAX_DOF, chi2_threshold
+from repro.sensors import trajectory
+
+BITWISE = scipy.__version__ == "1.17.1"
+
+
+def assert_same_doubles(got, expected):
+    got, expected = np.asarray(got, dtype=float), np.asarray(expected, dtype=float)
+    assert got.shape == expected.shape
+    if BITWISE:
+        assert got.tobytes() == expected.tobytes()
+    else:
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
+
+
+def scipy_table(times, positions, eulers):
+    """The spline's (intervals, 4, 15) table built from scipy's pieces."""
+    position = CubicSpline(times, positions, bc_type="natural")
+    euler = CubicSpline(times, eulers, bc_type="natural")
+    pieces = (position, position.derivative(1), position.derivative(2), euler, euler.derivative(1))
+    table = np.concatenate(
+        [np.pad(p.c, ((4 - p.c.shape[0], 0), (0, 0), (0, 0))) for p in pieces], axis=2
+    )
+    return table.transpose(1, 0, 2)
+
+
+def waypoints(rng, times):
+    n = len(times)
+    eulers = np.column_stack(
+        [rng.uniform(-np.pi, np.pi, n), rng.uniform(-1.4, 1.4, n), rng.uniform(-np.pi, np.pi, n)]
+    )
+    return times, rng.normal(0.0, 3.0, (n, 3)), eulers
+
+
+def test_spline_table_matches_scipy_on_uniform_knots():
+    rng = np.random.default_rng(0)
+    for n in (4, 5, 12, 40):
+        times, positions, eulers = waypoints(rng, np.linspace(-1.0, 0.5 * n, n))
+        spline = TrajectorySpline(times, positions, eulers)
+        assert_same_doubles(spline._rows, scipy_table(times, positions, eulers))
+
+
+def test_spline_table_matches_scipy_when_dgtsv_interchanges_rows():
+    # dgtsv swaps rows i and i+1 when |d[i]| < |dl[i]|; at step 0 that is
+    # 2 dx[0] < dx[1].  Log-normal spacing takes that branch often.
+    rng = np.random.default_rng(1)
+    interchanged = 0
+    for _ in range(200):
+        n = int(rng.integers(4, 30))
+        times = np.cumsum(np.exp(rng.normal(0.0, 1.0, n))) - 5.0
+        dx = np.diff(times)
+        interchanged += bool(2 * dx[0] < dx[1])
+        times, positions, eulers = waypoints(rng, times)
+        spline = TrajectorySpline(times, positions, eulers)
+        assert_same_doubles(spline._rows, scipy_table(times, positions, eulers))
+    assert interchanged >= 20
+
+
+def test_spline_table_matches_scipy_on_generated_trajectories(monkeypatch):
+    fitted = []
+
+    class RecordingSpline(TrajectorySpline):
+        def __init__(self, *args):
+            super().__init__(*args)
+            fitted.append((args, self))
+
+    monkeypatch.setattr(trajectory, "TrajectorySpline", RecordingSpline)
+    for seed in range(5):
+        trajectory.lab_walk_trajectory(seed=seed)
+        trajectory.vicon_room_trajectory(seed=seed)
+    assert len(fitted) == 10
+    for args, spline in fitted:
+        assert_same_doubles(spline._rows, scipy_table(*args))
+
+
+def test_normal_quantile_matches_ndtri():
+    q = np.concatenate(
+        [
+            np.linspace(0.0, 1.0, 300_001)[1:-1],
+            np.logspace(-320, -1, 4000),
+            1.0 - np.logspace(-16, -1, 4000),
+            [0.5, 0.9, 5e-324, 1.0 - 2.0**-53, np.exp(-2.0), 1.0 - np.exp(-2.0)],
+        ]
+    )
+    got = [normal_quantile(float(x)) for x in q]
+    assert_same_doubles(got, ndtri(q))
+
+
+def test_chi2_table_matches_scipy():
+    dofs = np.arange(1, CHI2_MAX_DOF + 1)
+    assert_same_doubles([chi2_threshold(int(dof)) for dof in dofs], chi2.ppf(0.95, dofs))

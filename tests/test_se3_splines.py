@@ -183,6 +183,12 @@ def test_spline_rejects_bad_inputs():
     near_gimbal[:, 1] = np.pi / 2
     with pytest.raises(ValueError):
         TrajectorySpline(times, good_pos, near_gimbal)
+    # scipy's CubicSpline rejected these; the numpy fit keeps rejecting them.
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            TrajectorySpline(np.array([0.0, 1.0, bad, 3.0]), good_pos, good_eul)
+        with pytest.raises(ValueError, match="finite"):
+            TrajectorySpline(times, np.where(np.eye(4, 3) > 0, bad, 0.0), good_eul)
 
 
 def test_spline_duration():

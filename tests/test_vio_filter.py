@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.perception.vio import update
 from repro.perception.vio.msckf import TASK_NAMES, Msckf, MsckfConfig
 from repro.perception.vio.tracker import FeatureTracker, Track
+from repro.perception.vio.update import CHI2_MAX_DOF, MAX_TRACK_CLONES, chi2_threshold
 
 
 def _run_filter(dataset, config=None, skip_frames=frozenset()):
@@ -79,8 +81,32 @@ def test_high_accuracy_preset_tracks_more_features(small_dataset):
 def test_config_validation():
     with pytest.raises(ValueError):
         MsckfConfig(max_clones=2)
+    # A track spans up to max_clones + 1 clones, a gate of 4K - 3 rows for
+    # K clones, so the chi-squared table bounds the window.
+    assert chi2_threshold(4 * MAX_TRACK_CLONES - 3) > 0
+    largest = MAX_TRACK_CLONES - 1
+    MsckfConfig(max_clones=largest)
+    with pytest.raises(ValueError, match="max_clones"):
+        MsckfConfig(max_clones=largest + 1)
+    with pytest.raises(ValueError):
+        chi2_threshold(CHI2_MAX_DOF + 1)
     with pytest.raises(ValueError):
         MsckfConfig(max_clones=5, slam_promotion_length=9)
+
+
+def test_gate_dofs_are_slam_or_track_rows(small_dataset, monkeypatch):
+    seen = []
+
+    def recording_threshold(dof):
+        seen.append(dof)
+        return chi2_threshold(dof)
+
+    monkeypatch.setattr(update, "chi2_threshold", recording_threshold)
+    config = MsckfConfig.standard()
+    _run_filter(small_dataset, config)
+    tracks = {4 * k - 3 for k in range(1, config.max_clones + 2)}
+    assert seen and set(seen) <= tracks | {4}
+    assert 4 in seen and max(seen) > 4
 
 
 def test_estimate_fields(small_dataset):
