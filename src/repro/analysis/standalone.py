@@ -75,6 +75,19 @@ def characterize_vio(duration_s: float = 15.0, seed: int = 1, quality: str = "st
 _RECONSTRUCTION_WARMUP = 3
 
 
+def frame_time_growth(frame_times: List[float]) -> float:
+    """Mean time of the last frames over the mean of the first ones.
+
+    The two windows hold ``min(5, len // 2)`` frames each, so they never
+    share a frame.
+    """
+    window = min(5, len(frame_times) // 2)
+    if window < 1:
+        raise ValueError(f"need at least 2 frame times, got {len(frame_times)}")
+    first = np.mean(frame_times[:window])
+    return float(np.mean(frame_times[-window:]) / max(first, 1e-12))
+
+
 def characterize_reconstruction(frames: int = 30, seed: int = 3) -> TaskBreakdown:
     """Scene reconstruction on the dyson_lab-like depth sequence.
 
@@ -115,9 +128,7 @@ def characterize_reconstruction(frames: int = 30, seed: int = 3) -> TaskBreakdow
         extras={
             "pose_error_cm": float(np.mean(errors[_RECONSTRUCTION_WARMUP:])) * 100.0,
             "occupied_fraction": pipeline.volume.occupied_fraction,
-            "frame_time_growth": float(
-                np.mean(pipeline.frame_times[-5:]) / max(np.mean(pipeline.frame_times[:5]), 1e-12)
-            ),
+            "frame_time_growth": frame_time_growth(pipeline.frame_times),
         },
     )
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.perf import TaskTimer
 from repro.sensors.eye import EyeImageGenerator, EyeSample
@@ -25,20 +26,17 @@ TASK_NAMES = ("convolution", "batch_copy", "activation", "misc")
 
 
 def _im2col(x: np.ndarray, kernel: int) -> np.ndarray:
-    """(N, C, H, W) -> (N, H, W, C*k*k) patches with 'same' zero padding."""
+    """(N, C, H, W) -> (N, H, W, C*k*k) patches with 'same' zero padding.
+
+    The patch axis runs over (dy, dx, channel), channel fastest.
+    """
     n, c, h, w = x.shape
     pad = kernel // 2
     padded = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    # Gather shifted views; stack along a new patch axis.
-    cols = np.empty((n, h, w, c * kernel * kernel), dtype=x.dtype)
-    idx = 0
-    for dy in range(kernel):
-        for dx in range(kernel):
-            cols[..., idx * c : (idx + 1) * c] = np.moveaxis(
-                padded[:, :, dy : dy + h, dx : dx + w], 1, -1
-            )
-            idx += 1
-    return cols
+    windows = sliding_window_view(padded, (kernel, kernel), axis=(2, 3))  # (N, C, H, W, k, k)
+    return np.ascontiguousarray(windows.transpose(0, 2, 3, 4, 5, 1)).reshape(
+        n, h, w, c * kernel * kernel
+    )
 
 
 @dataclass

@@ -39,7 +39,8 @@ def raycast(
 
     Uniform steps of ``step_fraction * truncation`` guarantee no surface
     thinner than the truncation band is skipped; the zero crossing is then
-    refined by linear interpolation between the last two samples.
+    refined by linear interpolation between the last two samples.  A ray
+    leaves the march once it crosses a surface or leaves the volume.
     """
     if not 0.05 <= step_fraction <= 1.0:
         raise ValueError(f"step_fraction out of range: {step_fraction}")
@@ -51,27 +52,43 @@ def raycast(
     n_rays = len(unit_dirs)
     step = volume.truncation_m * step_fraction
 
-    t = np.full(n_rays, start_distance)
-    prev_value = np.ones(n_rays)
+    # Past the volume's cube grown by a voxel, a ray never samples an
+    # observed voxel again, so it stops there or at max_distance.
+    low = volume.origin - volume.voxel_size
+    high = volume.origin + volume.extent_m + volume.voxel_size
+    with np.errstate(divide="ignore", invalid="ignore"):
+        far = np.maximum((low - origin) / unit_dirs, (high - origin) / unit_dirs)
+    far[np.isnan(far)] = np.inf
+    stop = np.minimum(far.min(axis=1), max_distance)
+
+    # The live set: rays that have neither crossed a surface nor passed
+    # their stop.  Every live ray has taken the same steps, so one ``t``
+    # holds the distance of all of them.
+    t = start_distance
+    rays = np.flatnonzero(t <= stop)
+    live_dirs = np.ascontiguousarray(unit_dirs[rays].T)  # axis-major, as sample() reads it
+    stop = stop[rays]
+    prev_value = np.ones(len(rays))
     hit_t = np.zeros(n_rays)
     found = np.zeros(n_rays, dtype=bool)
     max_steps = int((max_distance - start_distance) / step) + 1
     for _ in range(max_steps):
-        pending = ~found & (t <= max_distance)
-        if not np.any(pending):
+        if len(rays) == 0:
             break
-        idx = np.flatnonzero(pending)
-        points = origin + unit_dirs[idx] * t[idx, None]
-        values, valid = volume.sample(points)
-        pv = prev_value[idx]
-        crossed = valid & (pv > 0) & (values <= 0)
-        hit_idx = idx[crossed]
-        if len(hit_idx) > 0:
-            frac = pv[crossed] / np.maximum(pv[crossed] - values[crossed], 1e-9)
-            hit_t[hit_idx] = (t[hit_idx] - step) + frac * step
-            found[hit_idx] = True
-        prev_value[idx] = values
-        t[idx] += step
+        values, valid = volume.sample((origin[:, None] + live_dirs * t).T)
+        crossed = valid & (prev_value > 0) & (values <= 0)
+        if np.any(crossed):
+            pv = prev_value[crossed]
+            frac = pv / np.maximum(pv - values[crossed], 1e-9)
+            hit = rays[crossed]
+            hit_t[hit] = (t - step) + frac * step
+            found[hit] = True
+        t = t + step
+        live = ~crossed & (t <= stop)
+        if live.all():
+            prev_value = values
+        else:
+            rays, live_dirs, stop, prev_value = rays[live], live_dirs[:, live], stop[live], values[live]
 
     h, w = camera.height, camera.width
     depth = np.zeros(n_rays)

@@ -57,48 +57,55 @@ class TsdfVolume:
         if not self.max_weight >= 1:
             raise ValueError(f"max weight must be at least 1: {self.max_weight}")
         n = self.resolution
+        self.origin = np.asarray(self.origin, dtype=float)
         self.voxel_size = self.extent_m / n
         self.tsdf = np.ones((n, n, n), dtype=np.float32)
         self.weight = np.zeros((n, n, n), dtype=np.float32)
-        idx = (np.arange(n) + 0.5) * self.voxel_size
-        gx, gy, gz = np.meshgrid(idx, idx, idx, indexing="ij")
-        self._centers = (
-            np.stack([gx, gy, gz], axis=-1).reshape(-1, 3) + self.origin
+        # axes[i, k]: coordinate k of the centers of voxel layer i.
+        axes = ((np.arange(n) + 0.5) * self.voxel_size)[:, None] + self.origin
+        centers = np.empty((n, n, n, 3))
+        centers[..., 0] = axes[:, None, None, 0]
+        centers[..., 1] = axes[None, :, None, 1]
+        centers[..., 2] = axes[None, None, :, 2]
+        self._centers = centers.reshape(-1, 3)
+        self._build_blocks(axes)
+        # Flat-index offsets of a cell's 8 corners, in (dx, dy, dz) order.
+        self._corner_offsets = np.array(
+            [dx * n * n + dy * n + dz for dx in (0, 1) for dy in (0, 1) for dz in (0, 1)]
         )
-        self._build_blocks()
 
-    def _build_blocks(self) -> None:
+    def _build_blocks(self, axes: np.ndarray) -> None:
         """Pre-chunk the grid into cubic blocks for frustum culling.
 
         Stores a block-major permutation of the flat voxel indices plus a
         bounding sphere (center, radius over the *voxel centers*) and voxel
-        count per block.
+        count per block.  ``axes[i, k]`` is coordinate k of the centers of
+        voxel layer i.
         """
         n, edge = self.resolution, _BLOCK_EDGE
         n_blocks = -(-n // edge)  # ceil division; edge blocks may be smaller
-        grid_index = np.arange(n**3, dtype=np.int64).reshape(n, n, n)
-        centers_grid = self._centers.reshape(n, n, n, 3)
-        perm_parts = []
-        box_centers = []
-        radii = []
-        sizes = []
-        for bi in range(n_blocks):
-            i0, i1 = bi * edge, min((bi + 1) * edge, n)
-            for bj in range(n_blocks):
-                j0, j1 = bj * edge, min((bj + 1) * edge, n)
-                for bk in range(n_blocks):
-                    k0, k1 = bk * edge, min((bk + 1) * edge, n)
-                    perm_parts.append(grid_index[i0:i1, j0:j1, k0:k1].ravel())
-                    block = centers_grid[i0:i1, j0:j1, k0:k1].reshape(-1, 3)
-                    low, high = block.min(axis=0), block.max(axis=0)
-                    center = 0.5 * (low + high)
-                    box_centers.append(center)
-                    radii.append(float(np.linalg.norm(high - center)))
-                    sizes.append(len(block))
-        self._block_perm = np.concatenate(perm_parts)
-        self._block_centers = np.array(box_centers)
-        self._block_radii = np.array(radii)
-        self._block_sizes = np.array(sizes)
+        # Pad the index grid to whole blocks with -1, reorder it block-major
+        # and drop the padding: each block keeps its voxels in C order.
+        padded = np.full((n_blocks * edge,) * 3, -1, dtype=np.int64)
+        padded[:n, :n, :n] = np.arange(n**3, dtype=np.int64).reshape(n, n, n)
+        perm = padded.reshape((n_blocks, edge) * 3).transpose(0, 2, 4, 1, 3, 5).ravel()
+        self._block_perm = perm[perm >= 0]
+        # A block's voxel centers span its first to its last layer per axis.
+        first = np.arange(n_blocks) * edge
+        last = np.minimum(first + edge, n) - 1
+
+        def per_block(layers: np.ndarray) -> np.ndarray:
+            """(n_blocks, 3) per-axis values -> one (x, y, z) row per block."""
+            return np.stack(np.meshgrid(*layers.T, indexing="ij"), axis=-1).reshape(-1, 3)
+
+        low, high = per_block(axes[first]), per_block(axes[last])
+        self._block_centers = 0.5 * (low + high)
+        half = high - self._block_centers
+        # One BLAS dot per row, as np.linalg.norm forms for one vector, so
+        # each radius is bitwise the per-block norm.
+        self._block_radii = np.sqrt((half[:, None, :] @ half[:, :, None]).ravel())
+        sizes = last - first + 1
+        self._block_sizes = np.einsum("i,j,k->ijk", sizes, sizes, sizes).ravel()
 
     @property
     def occupied_fraction(self) -> float:
@@ -172,11 +179,12 @@ class TsdfVolume:
             flat_weight = self.weight.reshape(-1)
             fused_idx = selected[fuse]
             w_old = flat_weight[fused_idx]
-            w_new = np.minimum(w_old + 1.0, self.max_weight)
+            # A running average over every fusion, the newest weighted as
+            # one observation; the stored weight saturates at max_weight.
             flat_tsdf[fused_idx] = (
                 flat_tsdf[fused_idx] * w_old + tsdf_new[fuse]
-            ) / np.maximum(w_new, 1.0)
-            flat_weight[fused_idx] = w_new
+            ) / (w_old + 1.0)
+            flat_weight[fused_idx] = np.minimum(w_old + 1.0, self.max_weight)
             return int(fuse.sum())
 
     def world_to_voxel(self, points: np.ndarray) -> np.ndarray:
@@ -187,28 +195,27 @@ class TsdfVolume:
         """Trilinear TSDF interpolation at world ``points`` (N, 3).
 
         Returns (values, valid) where invalid points (outside the grid or
-        unobserved) carry value 1.0.
+        unobserved) carry value 1.0.  Column-major ``points`` (such as
+        ``rows.T`` of a (3, N) array) are read without a copy.
         """
         n = self.resolution
-        v = self.world_to_voxel(points)
+        # (3, N): one row per axis, so every pass below runs along long rows.
+        v = self.world_to_voxel(np.asfortranarray(points, dtype=float)).T
         v0 = np.floor(v).astype(int)
         frac = v - v0
-        valid = np.all((v0 >= 0) & (v0 < n - 1), axis=1)
         v0c = np.clip(v0, 0, n - 2)
-        result = np.zeros(len(v))
-        weight_seen = np.ones(len(v), dtype=bool)
-        for dx in (0, 1):
-            for dy in (0, 1):
-                for dz in (0, 1):
-                    w = (
-                        (frac[:, 0] if dx else 1 - frac[:, 0])
-                        * (frac[:, 1] if dy else 1 - frac[:, 1])
-                        * (frac[:, 2] if dz else 1 - frac[:, 2])
-                    )
-                    ix, iy, iz = v0c[:, 0] + dx, v0c[:, 1] + dy, v0c[:, 2] + dz
-                    result += w * self.tsdf[ix, iy, iz]
-                    weight_seen &= self.weight[ix, iy, iz] > 0
-        valid &= weight_seen
+        valid = (v0 == v0c).all(axis=0)
+        # Flat indices of the cell's 8 corners, one row per corner.
+        corners = ((v0c[0] * n + v0c[1]) * n + v0c[2]) + self._corner_offsets[:, None]
+        valid &= (self.weight.reshape(-1).take(corners) > 0).all(axis=0)
+        # Corner weights (x * y) * z, sharing the x * y products.
+        along = np.stack([1 - frac, frac])  # (2, 3, N): [far side, axis]
+        xy = along[:, None, 0] * along[None, :, 1]
+        weights = (xy[:, :, None] * along[None, None, :, 2]).reshape(8, -1)
+        terms = weights * self.tsdf.reshape(-1).take(corners)
+        result = np.zeros(len(valid))
+        for term in terms:
+            result += term
         return np.where(valid, result, 1.0), valid
 
     def gradient(self, points: np.ndarray) -> np.ndarray:

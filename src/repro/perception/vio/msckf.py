@@ -79,6 +79,14 @@ class MsckfConfig:
             )
         if self.slam_promotion_length > self.max_clones:
             raise ValueError("slam_promotion_length cannot exceed max_clones")
+        # A zero sigma makes the measurement covariance singular and a NaN
+        # one fails every chi-squared gate silently.
+        if not 0 < self.pixel_sigma < np.inf:
+            raise ValueError(f"pixel_sigma must be positive and finite: {self.pixel_sigma}")
+        if not self.max_triangulation_error_px >= 0:
+            raise ValueError(
+                f"max_triangulation_error_px must be non-negative: {self.max_triangulation_error_px}"
+            )
 
     @staticmethod
     def standard() -> "MsckfConfig":

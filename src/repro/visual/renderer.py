@@ -82,55 +82,82 @@ class Renderer:
         self.camera = camera or RenderCamera()
         self._rays_cam = self.camera.rays_camera().reshape(-1, 3)
         self._z_scale = np.linalg.norm(self._rays_cam, axis=1)
+        # Each box's bounding sphere (center, radius), for the render
+        # pre-test and view_complexity.
+        self._box_spheres = [
+            (0.5 * (box.minimum + box.maximum), 0.5 * float(np.linalg.norm(box.maximum - box.minimum)))
+            for box in scene.boxes
+        ]
 
     # ------------------------------------------------------------------
 
     def render(self, pose: Pose, render_time: float = 0.0) -> RenderedFrame:
-        """Render the scene from ``pose``; returns color + depth."""
+        """Render the scene from ``pose``; returns color + depth.
+
+        Each primitive's intersection runs only on the rays that can still
+        hit it, and a hit is written only where it is closer than the
+        nearest one so far.
+        """
         h, w = self.camera.height, self.camera.width
         rays_body = self._rays_cam @ R_CAM_BODY
         directions = quat_rotate(pose.orientation, rays_body)
         origin = pose.position
         n = directions.shape[0]
 
-        t_hit = np.full(n, np.inf)
-        color = np.zeros((n, 3))
-        normal = np.zeros((n, 3))
-        albedo = np.zeros((n, 3))
-        specular = np.zeros(n)
-        hit_any = np.zeros(n, dtype=bool)
-
-        def commit(t: np.ndarray, alb: np.ndarray, nrm: np.ndarray, spec: float | np.ndarray) -> None:
-            closer = t < t_hit
-            if not np.any(closer):
-                return
-            t_hit[closer] = t[closer]
-            albedo[closer] = alb[closer] if alb.ndim == 2 else alb
-            normal[closer] = nrm[closer]
-            if np.isscalar(spec):
-                specular[closer] = spec
-            else:
-                specular[closer] = spec[closer]
-            hit_any[closer] = True
-
-        # Room walls (textured apps only; AR demo leaves them black).
-        t_room, n_room = self._intersect_room(origin, directions)
+        # Room walls (textured apps only; AR demo leaves them black).  A ray
+        # that misses them keeps t = inf, so whatever it carries is masked.
+        t_hit, normal = self._intersect_room(origin, directions)
         if self.scene.textured_room:
-            hit_points = origin + directions * t_room[:, None]
-            wall_albedo = self._wall_texture(hit_points, n_room)
-            commit(t_room, wall_albedo, n_room, 0.05)
+            hit_points = origin + directions * t_hit[:, None]
+            albedo = self._wall_texture(hit_points, normal)
+            specular = np.full(n, 0.05)
         else:
             # Opaque but black: occludes virtual objects correctly.
-            commit(t_room, np.zeros((n, 3)), n_room, 0.0)
+            albedo = np.zeros((n, 3))
+            specular = np.zeros(n)
+
+        # Ray-sphere quadratic terms shared by every primitive.  ``b`` stays
+        # a product over all rays: a product over a subset may round
+        # differently in the last bit.
+        a = np.sum(directions * directions, axis=1)
+        two_directions = 2.0 * directions
+        four_a = 4 * a
 
         for sphere in self.scene.spheres:
-            t, nrm = _sphere_hit(origin, directions, sphere.center, sphere.radius)
-            commit(t, np.broadcast_to(sphere.color, (n, 3)), nrm, sphere.specular)
+            oc = origin - sphere.center
+            b = two_directions @ oc
+            c = float(oc @ oc) - sphere.radius * sphere.radius
+            disc = b * b - four_a * c
+            rays = np.flatnonzero(disc >= 0)
+            t = (-b[rays] - np.sqrt(disc[rays])) / (2 * a[rays])
+            closer = (t > 1e-6) & (t < t_hit[rays])
+            rays, t = rays[closer], t[closer]
+            points = origin + directions[rays] * t[:, None]
+            t_hit[rays] = t
+            albedo[rays] = sphere.color
+            normal[rays] = (points - sphere.center) / sphere.radius
+            specular[rays] = sphere.specular
 
-        for box in self.scene.boxes:
-            t, nrm = _box_hit(origin, directions, box.minimum, box.maximum)
-            commit(t, np.broadcast_to(box.color, (n, 3)), nrm, box.specular)
+        for box, (center, radius) in zip(self.scene.boxes, self._box_spheres):
+            # Pre-test: a ray that hits the box meets its bounding sphere
+            # ahead of the origin (disc >= 0 and a positive far root, i.e.
+            # b < 0 or c < 0).  The padding keeps the test conservative
+            # under rounding.
+            radius = radius * (1 + 1e-6) + 1e-9
+            oc = origin - center
+            b = two_directions @ oc
+            c = float(oc @ oc) - radius * radius
+            near = (b * b - four_a * c >= 0) & ((b < 0) | (c < 0))
+            rays = np.flatnonzero(near)
+            t, nrm = _box_hit(origin, directions[rays], box.minimum, box.maximum)
+            closer = t < t_hit[rays]
+            rays = rays[closer]
+            t_hit[rays] = t[closer]
+            albedo[rays] = box.color
+            normal[rays] = nrm[closer]
+            specular[rays] = box.specular
 
+        hit_any = np.isfinite(t_hit)
         # Shading: ambient + Lambertian + Blinn-Phong.
         light = -self.scene.light_dir
         n_dot_l = np.clip(normal @ light, 0.0, 1.0)
@@ -142,7 +169,7 @@ class Renderer:
         color = albedo * shade[:, None] + spec_term[:, None]
         color[~hit_any] = 0.0
 
-        depth = np.where(np.isfinite(t_hit), t_hit / self._z_scale, 0.0)
+        depth = np.where(hit_any, t_hit / self._z_scale, 0.0)
         return RenderedFrame(
             image=np.clip(color, 0.0, 1.0).reshape(h, w, 3),
             depth=depth.reshape(h, w),
@@ -162,9 +189,7 @@ class Renderer:
         weight = 0.4  # base cost: room + post-processing
         for sphere in self.scene.spheres:
             weight += _frustum_weight(pose.position, forward, cos_half_fov, sphere.center, sphere.radius)
-        for box in self.scene.boxes:
-            center = 0.5 * (box.minimum + box.maximum)
-            radius = 0.5 * float(np.linalg.norm(box.maximum - box.minimum))
+        for center, radius in self._box_spheres:
             weight += _frustum_weight(pose.position, forward, cos_half_fov, center, radius)
         n_prims = max(len(self.scene.spheres) + len(self.scene.boxes), 1)
         # Normalize so the average over random views is ~1.
@@ -201,23 +226,6 @@ class Renderer:
         # Slight per-face tint so walls are distinguishable.
         tex *= 0.85 + 0.15 * np.abs(normals)
         return np.clip(tex, 0.0, 1.0)
-
-
-def _sphere_hit(
-    origin: np.ndarray, directions: np.ndarray, center: np.ndarray, radius: float
-) -> Tuple[np.ndarray, np.ndarray]:
-    oc = origin - center
-    a = np.sum(directions * directions, axis=1)
-    b = 2.0 * directions @ oc
-    c = float(oc @ oc) - radius * radius
-    disc = b * b - 4 * a * c
-    hit = disc >= 0
-    sqrt_disc = np.sqrt(np.where(hit, disc, 0.0))
-    t = (-b - sqrt_disc) / (2 * a)
-    t = np.where(hit & (t > 1e-6), t, np.inf)
-    points = origin + directions * np.where(np.isfinite(t), t, 0.0)[:, None]
-    normals = (points - center) / radius
-    return t, normals
 
 
 def _box_hit(

@@ -1,26 +1,32 @@
-"""Reference formulations of the WGS and TSDF kernels.
+"""Reference formulations of the hot-path kernels.
 
 A parity oracle for ``tests/test_perf.py``: the functions below are the
-per-plane Weighted Gerchberg-Saxton solve and the full-grid TSDF integrate
-the production kernels were derived from, with their bodies unchanged.
-Production must match them: the batched WGS solve to atol 1e-8 (FFT
-batching reassociates sums), the frustum-culled TSDF integrate bitwise.
-Not collected as a test module.
+formulations the production kernels were derived from -- the per-plane
+Weighted Gerchberg-Saxton solve, the full-grid TSDF integrate, the all-rays
+renderer, the full-set TSDF raycast with its per-corner trilinear sample,
+the block-by-block cull-block setup and the per-offset eye-tracker im2col.
+Their bodies are the production bodies they replaced, except that the
+raycast samples through :func:`sample_reference` and the integrate carries
+production's saturated-weight averaging.  Production must match them: the
+batched WGS solve to atol 1e-8 (FFT batching reassociates sums),
+everything else bitwise.  Not collected as a test module.
 """
 
 from __future__ import annotations
 
 import time
 from collections import defaultdict
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.maths.quaternion import quat_to_matrix
+from repro.maths.quaternion import quat_rotate, quat_to_matrix
 from repro.maths.se3 import Pose
-from repro.perception.reconstruction.tsdf import TsdfVolume
+from repro.perception.reconstruction.raycast import RaycastResult
+from repro.perception.reconstruction.tsdf import _BLOCK_EDGE, TsdfVolume
 from repro.sensors.depth import DepthCamera
 from repro.visual.hologram import HologramResult, WeightedGerchbergSaxton
+from repro.visual.renderer import R_CAM_BODY, RenderedFrame, Renderer, _box_hit
 
 
 class ReferenceWgs:
@@ -143,7 +149,231 @@ def integrate_full_grid(volume: TsdfVolume, depth: np.ndarray, pose: Pose, camer
     flat_tsdf = volume.tsdf.reshape(-1)
     flat_weight = volume.weight.reshape(-1)
     w_old = flat_weight[fuse]
-    w_new = np.minimum(w_old + 1.0, volume.max_weight)
-    flat_tsdf[fuse] = (flat_tsdf[fuse] * w_old + tsdf_new[fuse]) / np.maximum(w_new, 1.0)
-    flat_weight[fuse] = w_new
+    flat_tsdf[fuse] = (flat_tsdf[fuse] * w_old + tsdf_new[fuse]) / (w_old + 1.0)
+    flat_weight[fuse] = np.minimum(w_old + 1.0, volume.max_weight)
     return int(fuse.sum())
+
+
+def build_blocks_reference(volume: TsdfVolume) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``TsdfVolume._build_blocks`` one block at a time: returns the
+    block-major permutation, block centers, radii and voxel counts."""
+    n, edge = volume.resolution, _BLOCK_EDGE
+    n_blocks = -(-n // edge)  # ceil division; edge blocks may be smaller
+    grid_index = np.arange(n**3, dtype=np.int64).reshape(n, n, n)
+    centers_grid = volume._centers.reshape(n, n, n, 3)
+    perm_parts = []
+    box_centers = []
+    radii = []
+    sizes = []
+    for bi in range(n_blocks):
+        i0, i1 = bi * edge, min((bi + 1) * edge, n)
+        for bj in range(n_blocks):
+            j0, j1 = bj * edge, min((bj + 1) * edge, n)
+            for bk in range(n_blocks):
+                k0, k1 = bk * edge, min((bk + 1) * edge, n)
+                perm_parts.append(grid_index[i0:i1, j0:j1, k0:k1].ravel())
+                block = centers_grid[i0:i1, j0:j1, k0:k1].reshape(-1, 3)
+                low, high = block.min(axis=0), block.max(axis=0)
+                center = 0.5 * (low + high)
+                box_centers.append(center)
+                radii.append(float(np.linalg.norm(high - center)))
+                sizes.append(len(block))
+    return np.concatenate(perm_parts), np.array(box_centers), np.array(radii), np.array(sizes)
+
+
+def sample_reference(volume: TsdfVolume, points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``TsdfVolume.sample`` with one 3-D gather per corner and grid."""
+    n = volume.resolution
+    v = volume.world_to_voxel(points)
+    v0 = np.floor(v).astype(int)
+    frac = v - v0
+    valid = np.all((v0 >= 0) & (v0 < n - 1), axis=1)
+    v0c = np.clip(v0, 0, n - 2)
+    result = np.zeros(len(v))
+    weight_seen = np.ones(len(v), dtype=bool)
+    for dx in (0, 1):
+        for dy in (0, 1):
+            for dz in (0, 1):
+                w = (
+                    (frac[:, 0] if dx else 1 - frac[:, 0])
+                    * (frac[:, 1] if dy else 1 - frac[:, 1])
+                    * (frac[:, 2] if dz else 1 - frac[:, 2])
+                )
+                ix, iy, iz = v0c[:, 0] + dx, v0c[:, 1] + dy, v0c[:, 2] + dz
+                result += w * volume.tsdf[ix, iy, iz]
+                weight_seen &= volume.weight[ix, iy, iz] > 0
+    valid &= weight_seen
+    return np.where(valid, result, 1.0), valid
+
+
+def gradient_reference(volume: TsdfVolume, points: np.ndarray) -> np.ndarray:
+    """``TsdfVolume.gradient`` over :func:`sample_reference`."""
+    h = volume.voxel_size
+    grad = np.zeros((len(points), 3))
+    for axis in range(3):
+        offset = np.zeros(3)
+        offset[axis] = h
+        plus, _ = sample_reference(volume, points + offset)
+        minus, _ = sample_reference(volume, points - offset)
+        grad[:, axis] = (plus - minus) / (2 * h)
+    return grad
+
+
+def raycast_reference(
+    volume: TsdfVolume,
+    pose: Pose,
+    camera: DepthCamera,
+    step_fraction: float = 0.5,
+    max_distance: float = 9.0,
+    start_distance: float = 0.3,
+) -> RaycastResult:
+    """The raycast that re-masks every ray at every step."""
+    if not 0.05 <= step_fraction <= 1.0:
+        raise ValueError(f"step_fraction out of range: {step_fraction}")
+    rays_cam = camera._rays_cam.reshape(-1, 3)
+    elongation = np.linalg.norm(rays_cam, axis=1)  # metric dist per unit z
+    directions = camera.ray_directions_world(pose).reshape(-1, 3)
+    unit_dirs = directions / np.linalg.norm(directions, axis=1, keepdims=True)
+    origin = pose.position
+    n_rays = len(unit_dirs)
+    step = volume.truncation_m * step_fraction
+
+    t = np.full(n_rays, start_distance)
+    prev_value = np.ones(n_rays)
+    hit_t = np.zeros(n_rays)
+    found = np.zeros(n_rays, dtype=bool)
+    max_steps = int((max_distance - start_distance) / step) + 1
+    for _ in range(max_steps):
+        pending = ~found & (t <= max_distance)
+        if not np.any(pending):
+            break
+        idx = np.flatnonzero(pending)
+        points = origin + unit_dirs[idx] * t[idx, None]
+        values, valid = sample_reference(volume, points)
+        pv = prev_value[idx]
+        crossed = valid & (pv > 0) & (values <= 0)
+        hit_idx = idx[crossed]
+        if len(hit_idx) > 0:
+            frac = pv[crossed] / np.maximum(pv[crossed] - values[crossed], 1e-9)
+            hit_t[hit_idx] = (t[hit_idx] - step) + frac * step
+            found[hit_idx] = True
+        prev_value[idx] = values
+        t[idx] += step
+
+    h, w = camera.height, camera.width
+    depth = np.zeros(n_rays)
+    vertices = np.zeros((n_rays, 3))
+    normals = np.zeros((n_rays, 3))
+    if np.any(found):
+        points = origin + unit_dirs[found] * hit_t[found, None]
+        vertices[found] = points
+        grad = gradient_reference(volume, points)
+        norm = np.linalg.norm(grad, axis=1, keepdims=True)
+        normals[found] = grad / np.maximum(norm, 1e-9)
+        depth[found] = hit_t[found] / elongation[found]
+    return RaycastResult(
+        depth=depth.reshape(h, w),
+        vertices=vertices.reshape(h, w, 3),
+        normals=normals.reshape(h, w, 3),
+        valid=found.reshape(h, w),
+    )
+
+
+def _sphere_hit(
+    origin: np.ndarray, directions: np.ndarray, center: np.ndarray, radius: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    oc = origin - center
+    a = np.sum(directions * directions, axis=1)
+    b = 2.0 * directions @ oc
+    c = float(oc @ oc) - radius * radius
+    disc = b * b - 4 * a * c
+    hit = disc >= 0
+    sqrt_disc = np.sqrt(np.where(hit, disc, 0.0))
+    t = (-b - sqrt_disc) / (2 * a)
+    t = np.where(hit & (t > 1e-6), t, np.inf)
+    points = origin + directions * np.where(np.isfinite(t), t, 0.0)[:, None]
+    normals = (points - center) / radius
+    return t, normals
+
+
+def render_reference(renderer: Renderer, pose: Pose, render_time: float = 0.0) -> RenderedFrame:
+    """``Renderer.render`` intersecting every primitive with every ray."""
+    h, w = renderer.camera.height, renderer.camera.width
+    rays_body = renderer._rays_cam @ R_CAM_BODY
+    directions = quat_rotate(pose.orientation, rays_body)
+    origin = pose.position
+    n = directions.shape[0]
+
+    t_hit = np.full(n, np.inf)
+    color = np.zeros((n, 3))
+    normal = np.zeros((n, 3))
+    albedo = np.zeros((n, 3))
+    specular = np.zeros(n)
+    hit_any = np.zeros(n, dtype=bool)
+
+    def commit(t: np.ndarray, alb: np.ndarray, nrm: np.ndarray, spec: float | np.ndarray) -> None:
+        closer = t < t_hit
+        if not np.any(closer):
+            return
+        t_hit[closer] = t[closer]
+        albedo[closer] = alb[closer] if alb.ndim == 2 else alb
+        normal[closer] = nrm[closer]
+        if np.isscalar(spec):
+            specular[closer] = spec
+        else:
+            specular[closer] = spec[closer]
+        hit_any[closer] = True
+
+    # Room walls (textured apps only; AR demo leaves them black).
+    t_room, n_room = renderer._intersect_room(origin, directions)
+    if renderer.scene.textured_room:
+        hit_points = origin + directions * t_room[:, None]
+        wall_albedo = renderer._wall_texture(hit_points, n_room)
+        commit(t_room, wall_albedo, n_room, 0.05)
+    else:
+        # Opaque but black: occludes virtual objects correctly.
+        commit(t_room, np.zeros((n, 3)), n_room, 0.0)
+
+    for sphere in renderer.scene.spheres:
+        t, nrm = _sphere_hit(origin, directions, sphere.center, sphere.radius)
+        commit(t, np.broadcast_to(sphere.color, (n, 3)), nrm, sphere.specular)
+
+    for box in renderer.scene.boxes:
+        t, nrm = _box_hit(origin, directions, box.minimum, box.maximum)
+        commit(t, np.broadcast_to(box.color, (n, 3)), nrm, box.specular)
+
+    # Shading: ambient + Lambertian + Blinn-Phong.
+    light = -renderer.scene.light_dir
+    n_dot_l = np.clip(normal @ light, 0.0, 1.0)
+    view = -directions / np.maximum(np.linalg.norm(directions, axis=1, keepdims=True), 1e-12)
+    half = light + view
+    half /= np.maximum(np.linalg.norm(half, axis=1, keepdims=True), 1e-12)
+    spec_term = specular * np.clip(np.sum(normal * half, axis=1), 0.0, 1.0) ** 24
+    shade = 0.25 + 0.75 * n_dot_l
+    color = albedo * shade[:, None] + spec_term[:, None]
+    color[~hit_any] = 0.0
+
+    depth = np.where(np.isfinite(t_hit), t_hit / renderer._z_scale, 0.0)
+    return RenderedFrame(
+        image=np.clip(color, 0.0, 1.0).reshape(h, w, 3),
+        depth=depth.reshape(h, w),
+        pose=pose,
+        render_time=render_time,
+    )
+
+
+def im2col_reference(x: np.ndarray, kernel: int) -> np.ndarray:
+    """The eye tracker's ``_im2col``, one shifted copy per kernel offset."""
+    n, c, h, w = x.shape
+    pad = kernel // 2
+    padded = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    # Gather shifted views; stack along a new patch axis.
+    cols = np.empty((n, h, w, c * kernel * kernel), dtype=x.dtype)
+    idx = 0
+    for dy in range(kernel):
+        for dx in range(kernel):
+            cols[..., idx * c : (idx + 1) * c] = np.moveaxis(
+                padded[:, :, dy : dy + h, dx : dx + w], 1, -1
+            )
+            idx += 1
+    return cols

@@ -17,6 +17,7 @@ from repro.analysis.standalone import (
     characterize_reconstruction,
     characterize_reprojection,
     characterize_vio,
+    frame_time_growth,
 )
 from repro.core.registry import COMPONENT_REGISTRY, default_components, registry_by_pipeline
 
@@ -91,6 +92,17 @@ def test_characterize_reconstruction_rejects_warmup_only_runs():
     for frames in (0, 2, 3):
         with pytest.raises(ValueError, match="warm-up"):
             characterize_reconstruction(frames=frames)
+
+
+def test_frame_time_growth_compares_disjoint_windows():
+    # Eight frames: frames 0-3 against frames 4-7, none in both.
+    assert frame_time_growth([1.0] * 4 + [3.0] * 4) == 3.0
+    # Ten or more: the first five against the last five.
+    assert frame_time_growth([1.0] * 5 + [9.0] * 20 + [2.0] * 5) == 2.0
+    # An odd count leaves the middle frame out of both windows.
+    assert frame_time_growth([2.0, 50.0, 8.0]) == 4.0
+    with pytest.raises(ValueError):
+        frame_time_growth([1.0])
 
 
 def test_characterize_eye_tracking():

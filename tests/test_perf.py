@@ -2,13 +2,18 @@
 
 Two kinds of guarantees:
 
-- **Parity**: the WGS and TSDF kernels must reproduce the formulations kept
-  in ``tests/kernel_oracles.py`` -- bit-exact for TSDF culling, which only
-  skips voxels that cannot project into the image, and to atol 1e-8 for
-  WGS, where FFT batching reassociates floating-point sums.
+- **Parity**: the kernels must reproduce the formulations kept in
+  ``tests/kernel_oracles.py`` -- bit-exact for TSDF culling, which only
+  skips voxels that cannot project into the image, for the culled renderer
+  and the compacted raycast, which only skip rays that cannot hit, and for
+  the vectorized cull-block setup and im2col; to atol 1e-8 for WGS, where FFT
+  batching reassociates floating-point sums.
 - **Utilities**: the plan cache, the task timer and the kernels' profiling
   spans behave as documented.
 """
+
+import functools
+import itertools
 
 import numpy as np
 import pytest
@@ -16,16 +21,30 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.ndimage import gaussian_filter
 
-from repro.maths.quaternion import matrix_to_quat, quat_from_axis_angle
+from repro.maths.quaternion import matrix_to_quat, quat_from_axis_angle, quat_multiply
 from repro.maths.se3 import Pose
 from repro.metrics.flip import flip
 from repro.metrics.ssim import ssim
+from repro.perception.eye_tracking import _im2col
+from repro.perception.reconstruction.raycast import raycast
 from repro.perception.reconstruction.tsdf import TsdfVolume
 from repro.perf import PlanCache, TaskTimer, enable_profiling, profile, profile_summary, span
 from repro.perf.cache import MAX_ENTRIES
 from repro.sensors.depth import DepthCamera, DepthScene
+from repro.sensors.trajectory import lab_walk_trajectory
 from repro.visual.hologram import WeightedGerchbergSaxton
-from tests.kernel_oracles import ReferenceWgs, integrate_full_grid
+from repro.visual.renderer import R_CAM_BODY, RenderCamera, Renderer
+from repro.visual.scenes import APPLICATIONS, scene_by_name
+from tests.kernel_oracles import (
+    ReferenceWgs,
+    build_blocks_reference,
+    gradient_reference,
+    im2col_reference,
+    integrate_full_grid,
+    raycast_reference,
+    render_reference,
+    sample_reference,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +239,226 @@ def test_tsdf_facing_away_culls_every_block(pose, resolution):
     assert volume._visible_voxels(pose, camera).size == 0
     assert volume.integrate(camera.render(pose, noisy=False), pose, camera) == 0
     assert not volume.weight.any()
+
+
+@pytest.mark.parametrize("resolution", [13, 20, 96])
+def test_tsdf_blocks_match_oracle(resolution):
+    """Partial edge blocks (13, 20) and the default grid (96)."""
+    volume = TsdfVolume(resolution=resolution)
+    built = (volume._block_perm, volume._block_centers, volume._block_radii, volume._block_sizes)
+    for array, reference in zip(built, build_blocks_reference(volume)):
+        assert array.dtype == reference.dtype
+        assert np.array_equal(array, reference)
+
+
+# ---------------------------------------------------------------------------
+# Ray kernels: the culled renderer and the compacted raycast vs. the oracles
+# ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _renderer(scene: str, width: int, height: int) -> Renderer:
+    return Renderer(scene_by_name(scene), RenderCamera(width, height))
+
+
+def _frame(axis, helper):
+    """Right-handed orthonormal frame whose first column is along ``axis``."""
+    x = axis / np.linalg.norm(axis)
+    y = np.cross(helper, x)
+    y /= np.linalg.norm(y)
+    return np.column_stack([x, y, np.cross(x, y)])
+
+
+def _aimed_pose(renderer, position, target, pixel, helper):
+    """A pose at ``position`` whose ray through flat pixel index ``pixel``
+    points at ``target``; ``helper`` fixes the roll."""
+    ray_body = renderer._rays_cam[pixel] @ R_CAM_BODY
+    rotation = _frame(target - position, helper) @ _frame(ray_body, helper).T
+    return Pose(position, matrix_to_quat(rotation))
+
+
+def _apart(u, v):
+    """Whether ``u`` and ``v`` are at least ~6 degrees from parallel."""
+    return np.linalg.norm(np.cross(u, v)) > 0.1 * np.linalg.norm(u) * np.linalg.norm(v)
+
+
+@st.composite
+def _render_cases(draw):
+    """A renderer over any scene at either test resolution, and a pose
+    anywhere in the room, inside a box's bounding sphere, or aiming one
+    pixel's ray past a box corner, tangent to the box's bounding sphere."""
+    scene = scene_by_name(draw(st.sampled_from(sorted(APPLICATIONS))))
+    renderer = _renderer(scene.name, *draw(st.sampled_from([(320, 180), (192, 108)])))
+    kinds = ["room"] + (["inside_sphere", "corner"] if scene.boxes else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "room":
+        h = scene.room_half_extent - 0.05
+        position = np.array(
+            [draw(st.floats(-h, h)), draw(st.floats(-h, h)), draw(st.floats(0.05, scene.room_height - 0.05))]
+        )
+        orientation = quat_from_axis_angle(draw(_DIRECTIONS), draw(st.floats(-np.pi, np.pi)))
+        return renderer, Pose(position, orientation)
+    box = draw(st.sampled_from(scene.boxes))
+    center = 0.5 * (box.minimum + box.maximum)
+    if kind == "inside_sphere":
+        radius = 0.5 * float(np.linalg.norm(box.maximum - box.minimum))
+        position = center + draw(_DIRECTIONS) * radius * draw(st.floats(0.0, 0.999))
+        orientation = quat_from_axis_angle(draw(_DIRECTIONS), draw(st.floats(-np.pi, np.pi)))
+        return renderer, Pose(position, orientation)
+    corner = np.where([draw(st.booleans()) for _ in range(3)], box.maximum, box.minimum)
+    radial = (corner - center) / np.linalg.norm(corner - center)
+    w = draw(_DIRECTIONS.filter(lambda v: _apart(v, radial)))
+    tangent = w - (w @ radial) * radial
+    tangent /= np.linalg.norm(tangent)
+    position = corner - draw(st.floats(0.3, 3.0)) * tangent
+    pixel = draw(st.integers(0, renderer._rays_cam.shape[0] - 1))
+    ray_body = renderer._rays_cam[pixel] @ R_CAM_BODY
+    helper = draw(_DIRECTIONS.filter(lambda v: _apart(v, tangent) and _apart(v, ray_body)))
+    return renderer, _aimed_pose(renderer, position, corner, pixel, helper)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_render_cases())
+def test_render_matches_oracle_on_drawn_poses(case):
+    renderer, pose = case
+    with np.errstate(all="ignore"):
+        frame = renderer.render(pose)
+        reference = render_reference(renderer, pose)
+    assert np.array_equal(frame.image, reference.image)
+    assert np.array_equal(frame.depth, reference.depth)
+
+
+def test_render_pretest_keeps_corner_grazing_rays():
+    """The center pixel's ray aimed at each top corner of each Sponza
+    column, tangent to the column's bounding sphere: its render is the
+    oracle's."""
+    renderer = _renderer("sponza", 192, 108)
+    pixel = 108 // 2 * 192 + 192 // 2
+    up = np.array([0.0, 0.0, 1.0])
+    for box in renderer.scene.boxes:
+        center = 0.5 * (box.minimum + box.maximum)
+        for x, y in itertools.product(*zip(box.minimum[:2], box.maximum[:2])):
+            corner = np.array([x, y, box.maximum[2]])
+            tangent = np.cross(corner - center, up)
+            tangent /= np.linalg.norm(tangent)
+            pose = _aimed_pose(renderer, corner - 0.5 * tangent, corner, pixel, up)
+            frame = renderer.render(pose)
+            reference = render_reference(renderer, pose)
+            assert np.array_equal(frame.image, reference.image)
+            assert np.array_equal(frame.depth, reference.depth)
+
+
+@functools.lru_cache(maxsize=4)
+def _fused_volume(resolution, width, height, frames, extent=8.0, origin=(-4.0, -4.0, -1.0)):
+    """A volume fused from ``frames`` lab-walk depth frames, with the
+    camera and poses; treat it as read-only."""
+    camera = DepthCamera(DepthScene.default(seed=3), width=width, height=height, seed=3)
+    trajectory = lab_walk_trajectory(duration=frames * 0.3 + 2.0, seed=3)
+    volume = TsdfVolume(resolution=resolution, extent_m=extent, origin=np.array(origin))
+    poses = []
+    for i in range(frames):
+        sample = trajectory.sample(i * 0.3)
+        pose = Pose(sample.position, sample.orientation, timestamp=i * 0.3)
+        volume.integrate(camera.render(pose), pose, camera)
+        poses.append(pose)
+    return volume, camera, poses
+
+
+def _assert_raycast_matches_oracle(volume, pose, camera, **kwargs):
+    result = raycast(volume, pose, camera, **kwargs)
+    reference = raycast_reference(volume, pose, camera, **kwargs)
+    for name in ("depth", "vertices", "normals", "valid"):
+        assert np.array_equal(getattr(result, name), getattr(reference, name)), name
+    return result
+
+
+def test_raycast_matches_oracle_on_fused_poses():
+    """The reconstruction benchmark's configuration: 80x60 depth, 96^3."""
+    volume, camera, poses = _fused_volume(96, 80, 60, 8)
+    for pose in poses:
+        assert _assert_raycast_matches_oracle(volume, pose, camera).valid.mean() > 0.5
+
+
+@st.composite
+def _raycast_cases(draw):
+    """A volume whose faces cut the room's walls at drawn offsets, and a
+    pose near a fused one or anywhere in or around the volume (looking in
+    or away), with drawn march parameters."""
+    # The walls stand at x, y = +-3.5 m and z = 0 and 2.8 m.
+    extent = draw(st.floats(6.6, 7.6))
+    origin = (
+        -extent / 2 + draw(st.floats(-0.2, 0.2)),
+        -extent / 2 + draw(st.floats(-0.2, 0.2)),
+        draw(st.floats(-0.4, 0.1)),
+    )
+    volume, camera, poses = _fused_volume(draw(st.sampled_from([24, 40])), 40, 30, 3, extent, origin)
+    if draw(st.booleans()):
+        base = draw(st.sampled_from(poses))
+        position = base.position + np.array([draw(st.floats(-0.3, 0.3)) for _ in range(3)])
+        turn = quat_from_axis_angle(draw(_DIRECTIONS), draw(st.floats(-0.5, 0.5)))
+        pose = Pose(position, quat_multiply(base.orientation, turn))
+    else:
+        pose = draw(_free_poses())
+    kwargs = draw(
+        st.fixed_dictionaries(
+            {},
+            optional={
+                "step_fraction": st.floats(0.3, 1.0),
+                "max_distance": st.floats(1.0, 20.0),
+                "start_distance": st.floats(0.0, 2.0),
+            },
+        )
+    )
+    return volume, camera, pose, kwargs
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_raycast_cases())
+def test_raycast_matches_oracle_on_drawn_poses(case):
+    volume, camera, pose, kwargs = case
+    _assert_raycast_matches_oracle(volume, pose, camera, **kwargs)
+
+
+_COORDINATES = st.one_of(
+    st.floats(-6.0, 9.0),
+    # Voxel centers and cell faces of the 40^3 grid, up to rounding.
+    st.integers(-2, 82).map(lambda k: -4.0 + k * 0.1),
+)
+
+
+@st.composite
+def _sample_points(draw):
+    """Points anywhere in or around the 40^3 grid, or within a voxel of an
+    observed voxel's center."""
+    volume, _, _ = _fused_volume(40, 40, 30, 3)
+    observed = np.flatnonzero(volume.weight.reshape(-1) > 0)
+    anywhere = st.tuples(_COORDINATES, _COORDINATES, _COORDINATES).map(np.array)
+    offset = st.floats(-volume.voxel_size, volume.voxel_size)
+    near = st.tuples(st.sampled_from(observed), offset, offset, offset).map(
+        lambda c: volume._centers[c[0]] + np.array(c[1:])
+    )
+    return np.array(draw(st.lists(st.one_of(anywhere, near), min_size=1, max_size=64)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(points=_sample_points())
+def test_tsdf_sample_and_gradient_match_oracle(points):
+    volume, _, _ = _fused_volume(40, 40, 30, 3)
+    values, valid = volume.sample(points)
+    ref_values, ref_valid = sample_reference(volume, points)
+    assert np.array_equal(valid, ref_valid)
+    assert values.tobytes() == ref_values.tobytes()
+    assert np.array_equal(volume.gradient(points), gradient_reference(volume, points))
+
+
+@pytest.mark.parametrize("channels", [1, 8])
+@pytest.mark.parametrize("kernel", [1, 3])
+def test_im2col_matches_oracle(channels, kernel):
+    x = np.random.default_rng(channels * 10 + kernel).normal(size=(2, channels, 12, 16))
+    cols = _im2col(x, kernel)
+    reference = im2col_reference(x, kernel)
+    assert cols.dtype == reference.dtype and cols.flags.c_contiguous
+    assert np.array_equal(cols, reference)
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,24 @@ def test_tsdf_values_bounded(fused_volume):
     assert volume.tsdf.min() >= -1.0
 
 
+def test_fusion_past_max_weight_keeps_averaging(camera):
+    """Past max_weight a fusion still averages: refusing one frame 100
+    times leaves every observed value where one fusion put it."""
+    pose = Pose(np.array([0.5, 0.2, 1.6]))
+    depth = camera.render(pose, noisy=False)
+    once = TsdfVolume(resolution=32)
+    once.integrate(depth, pose, camera)
+    many = TsdfVolume(resolution=32)
+    for _ in range(100):
+        many.integrate(depth, pose, camera)
+    observed = many.weight > 0
+    assert np.array_equal(observed, once.weight > 0)
+    assert many.weight.max() == many.max_weight
+    assert -1.0 <= many.tsdf[observed].min() and many.tsdf[observed].max() <= 1.0
+    eps = np.finfo(np.float32).eps
+    assert np.abs(many.tsdf[observed] - once.tsdf[observed]).max() <= eps
+
+
 def test_sample_trilinear_interpolates(fused_volume, camera):
     volume, pose = fused_volume
     # Near the +x wall the TSDF ramps through the truncation band, so

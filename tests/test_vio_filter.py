@@ -92,6 +92,13 @@ def test_config_validation():
         chi2_threshold(CHI2_MAX_DOF + 1)
     with pytest.raises(ValueError):
         MsckfConfig(max_clones=5, slam_promotion_length=9)
+    for sigma in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="pixel_sigma"):
+            MsckfConfig(pixel_sigma=sigma)
+    for bar in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="max_triangulation_error_px"):
+            MsckfConfig(max_triangulation_error_px=bar)
+    MsckfConfig(max_triangulation_error_px=0.0)
 
 
 def test_gate_dofs_are_slam_or_track_rows(small_dataset, monkeypatch):
