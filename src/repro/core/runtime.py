@@ -62,8 +62,8 @@ class RuntimeResult:
     # report and the fault injector's event-level injection log.
     supervision: Optional[Dict[str, object]] = None
     fault_log: List[object] = field(default_factory=list)
-    # Observability (None unless the run opted in): the live
-    # tracer/metrics facade -- see repro.obs.
+    # Observability (None unless the run opted in): the run's tracer and
+    # its hooks -- see repro.obs.
     observability: Optional[object] = None
 
     def frame_rate(self, plugin: str) -> float:
@@ -180,7 +180,7 @@ class Runtime:
         dilation: Optional[Dict[str, float]] = None,
         fault_plan=None,
         supervision=None,
-        observability=None,
+        observability: bool = False,
     ) -> None:
         self.platform = platform
         self.config = config
@@ -208,18 +208,12 @@ class Runtime:
         if fault_plan is not None:
             fault_plan.begin_run(self.engine)
             self.switchboard.install_injector(fault_plan)
-        # Observability layer (repro.obs): opt-in.  True builds a fresh
-        # facade; a prebuilt Observability is accepted so tests/analysis
-        # can pre-register extra instruments.
+        # Observability layer (repro.obs): opt-in causal tracing.
         self.observability = None
         if observability:
             from repro.obs import Observability
 
-            self.observability = (
-                observability
-                if isinstance(observability, Observability)
-                else Observability()
-            )
+            self.observability = Observability()
             self.observability.attach(self.engine, self.switchboard)
         self.scheduler = Scheduler(
             self.engine,
@@ -310,16 +304,15 @@ def build_runtime(
     trajectory: Optional[TrajectorySpline] = None,
     fault_plan=None,
     supervision=None,
-    observability=None,
+    observability: bool = False,
 ) -> Runtime:
     """Assemble the paper's integrated system configuration (§III-B).
 
     ``fault_plan`` (a :class:`repro.resilience.FaultPlan`) and
     ``supervision`` (a :class:`repro.resilience.SupervisorConfig` or a
     prebuilt supervisor) opt the run into the resilience layer; both
-    default to off, leaving the hot paths untouched.  ``observability``
-    (True or a prebuilt :class:`repro.obs.Observability`) opts into
-    causal tracing and the metrics registry under the same discipline.
+    default to off, leaving the hot paths untouched.  ``observability=True``
+    opts into causal tracing (:mod:`repro.obs`) under the same discipline.
     """
     config = config or SystemConfig()
     scene: Scene = scene_by_name(app_name)

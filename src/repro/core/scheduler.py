@@ -81,7 +81,7 @@ class Scheduler:
         self.injector = injector
         self.supervisor = supervisor
         # Observability (repro.obs): wraps every invocation in a causal
-        # span and feeds the scheduler metrics.  None-check discipline.
+        # span.  None-check discipline.
         self.obs = observability
         self.cpu = Resource(engine, platform.cpu_cores, name="cpu")
         self.gpu = Resource(engine, platform.gpu_concurrency, name="gpu")
@@ -131,8 +131,6 @@ class Scheduler:
                 return
             if self._busy[plugin.name]:
                 self.logger.log_drop(plugin.name, scheduled)
-                if self.obs is not None:
-                    self.obs.on_scheduler_drop(plugin.name, scheduled)
             else:
                 self._busy[plugin.name] = True
                 self._spawn(
@@ -152,8 +150,6 @@ class Scheduler:
                 return
             if self._busy[plugin.name]:
                 self.logger.log_drop(plugin.name, start_at)
-                if self.obs is not None:
-                    self.obs.on_scheduler_drop(plugin.name, start_at)
             else:
                 # Deadline = the lead: finishing after it means the vsync
                 # was missed and the frame slips to the next one.
@@ -175,8 +171,6 @@ class Scheduler:
                 return
             if self._busy[plugin.name]:
                 self.logger.log_drop(plugin.name, self.engine.now)
-                if self.obs is not None:
-                    self.obs.on_scheduler_drop(plugin.name, self.engine.now)
             else:
                 self._busy[plugin.name] = True
                 self._spawn(

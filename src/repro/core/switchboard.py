@@ -119,8 +119,6 @@ class Topic(Generic[T]):
             if directive is not None:
                 kind, payload = directive
                 if kind == "drop" or kind == "delay":
-                    if self._observer is not None:
-                        self._observer.on_injector_drop(self.name, kind)
                     return StampedEvent(publish_time, data, data_time, self._sequence)
                 if kind == "corrupt":
                     data = payload
@@ -150,8 +148,8 @@ class Topic(Generic[T]):
         for queue in self._queues:
             queue.append(event)
         if observer is not None:
-            # Metrics before callbacks: the publish is recorded before any
-            # cascading reaction it triggers.
+            # Before callbacks: queue depth is read before any cascading
+            # reaction the publish triggers.
             observer.on_publish(self, event)
         for callback in self._callbacks:
             callback(event)

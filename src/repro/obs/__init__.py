@@ -1,4 +1,4 @@
-"""Unified observability: causal tracing, metrics, critical-path MTP.
+"""Unified observability: causal tracing and critical-path MTP.
 
 Three previously disconnected telemetry islands -- the §III-E invocation
 records (:mod:`repro.core.records`), the wall-clock kernel profiler
@@ -7,8 +7,9 @@ records (:mod:`repro.core.records`), the wall-clock kernel profiler
 
 - :mod:`repro.obs.tracer` -- causal spans on the simulated clock, with
   trace contexts propagated through every switchboard event;
-- :mod:`repro.obs.metrics` -- a labeled counters/gauges/histograms
-  registry wired into the scheduler, switchboard, and supervisor;
+- :mod:`repro.obs.observability` -- the facade that wires the tracer
+  into the switchboard, the scheduler and the supervisor's
+  ``sys/observability`` topic;
 - :mod:`repro.obs.export` -- Chrome trace-event JSON (Perfetto-loadable)
   with flow arrows along event lineage;
 - :mod:`repro.obs.critical_path` -- per-frame MTP decomposition walked
@@ -28,17 +29,11 @@ from repro.obs.critical_path import (
     render_report,
 )
 from repro.obs.export import chrome_trace, validate_chrome_trace
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.observability import MTP_BUCKETS_S, SYS_TOPIC, Observability
+from repro.obs.observability import SYS_TOPIC, Observability
 from repro.obs.tracer import Span, SpanLink, Tracer
 
 __all__ = [
-    "Counter",
     "FrameCriticalPath",
-    "Gauge",
-    "Histogram",
-    "MTP_BUCKETS_S",
-    "MetricsRegistry",
     "Observability",
     "SYS_TOPIC",
     "Span",

@@ -104,7 +104,10 @@ class VioPlugin(Plugin):
 
     def setup(self, phonebook: Phonebook, switchboard: Switchboard) -> None:
         super().setup(phonebook, switchboard)
-        self._imu_reader = switchboard.topic("imu").subscribe_queue()
+        # Only full fidelity drains IMU samples; a model-fidelity reader
+        # would hold every sample of the run.
+        if self.config.fidelity == "full":
+            self._imu_reader = switchboard.topic("imu").subscribe_queue()
 
     def reset(self, reason=None) -> None:
         """Supervisor restart: relaunch the tracker from scratch.
@@ -178,15 +181,12 @@ class VioPlugin(Plugin):
         estimate: VioEstimate = vio.process_frame(frame)
         self._frames_processed += 1
         if self.obs is not None:
-            # Tracking health on the invocation span + a gauge series, so
-            # pose-quality regressions are visible next to latency.
+            # Tracking health on the invocation span, so pose-quality
+            # regressions are visible next to latency.
             self.obs.annotate(
                 tracked_features=estimate.tracked_features,
                 slam_landmarks=estimate.slam_landmarks,
             )
-            self.obs.metrics.gauge(
-                "vio_tracked_features", "features the front-end is tracking"
-            ).set(float(estimate.tracked_features))
         # Input-dependence: more tracked features and landmarks = more work.
         tracked_ratio = min(
             1.0, estimate.tracked_features / max(self.msckf_config.max_features, 1)

@@ -226,10 +226,6 @@ class TimewarpPlugin(Plugin):
             stale_frame=pending.get("stale", False),
         )
         self.mtp_samples.append(sample)
-        if self.obs is not None:
-            # Feed the online MTP histogram (p50/p95/p99 without
-            # retaining samples) and the per-segment decomposition.
-            self.obs.record_mtp(sample)
         self.display_events.append(
             DisplayEvent(
                 submit_time=info.swap_time,

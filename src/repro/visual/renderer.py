@@ -105,11 +105,13 @@ class Renderer:
         n = directions.shape[0]
 
         # Room walls (textured apps only; AR demo leaves them black).  A ray
-        # that misses them keeps t = inf, so whatever it carries is masked.
+        # that misses them keeps t = inf, so whatever it carries is masked
+        # (and the inf arithmetic that shades it may make NaNs).
         t_hit, normal = self._intersect_room(origin, directions)
         if self.scene.textured_room:
-            hit_points = origin + directions * t_hit[:, None]
-            albedo = self._wall_texture(hit_points, normal)
+            with np.errstate(invalid="ignore"):
+                hit_points = origin + directions * t_hit[:, None]
+                albedo = self._wall_texture(hit_points, normal)
             specular = np.full(n, 0.05)
         else:
             # Opaque but black: occludes virtual objects correctly.

@@ -1,4 +1,4 @@
-"""Observability layer: tracing, metrics, export, and MTP attribution.
+"""Observability layer: tracing, export, and MTP attribution.
 
 Covers the acceptance criteria of the causal-tracing work:
 
@@ -7,6 +7,8 @@ Covers the acceptance criteria of the causal-tracing work:
 - the trace-derived critical-path decomposition reproduces the online
   MTP metric per frame to 1e-6 s;
 - supervisor lifecycle events are routed onto ``sys/observability``;
+- the run summary's publish counts and queue high-water marks match what
+  the switchboard delivered and held;
 - every core hook is a None-check: untraced runs see no trace state;
 - the profiler nests kernel ``span()`` blocks and task blocks as spans in
   the invocation spans of the run that is running.
@@ -15,7 +17,6 @@ Covers the acceptance criteria of the causal-tracing work:
 import json
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from repro.analysis import critical_path as critical_path_cli
@@ -23,7 +24,6 @@ from repro.core.config import SystemConfig
 from repro.core.runtime import RuntimeResult, build_runtime
 from repro.hardware.platform import DESKTOP
 from repro.obs import (
-    MetricsRegistry,
     SpanLink,
     TraceContext,
     Tracer,
@@ -106,71 +106,6 @@ def test_trace_context_child_of():
 
 
 # ---------------------------------------------------------------------------
-# Metrics registry
-# ---------------------------------------------------------------------------
-
-
-def test_counter_labels_and_monotonicity():
-    registry = MetricsRegistry()
-    c = registry.counter("demo_total")
-    c.inc(topic="imu")
-    c.inc(2.0, topic="imu")
-    c.inc(topic="camera")
-    assert c.value(topic="imu") == 3.0
-    assert c.total() == 4.0
-    assert c.series() == {"topic=camera": 1.0, "topic=imu": 3.0}
-    with pytest.raises(ValueError):
-        c.inc(-1.0)
-
-
-def test_gauge_high_water():
-    g = MetricsRegistry().gauge("depth")
-    g.set(3.0, topic="imu")
-    g.set(1.0, topic="imu")
-    assert g.value(topic="imu") == 1.0
-    assert g.high_water(topic="imu") == 3.0
-
-
-def test_histogram_quantiles_bracket_exact_percentiles():
-    h = MetricsRegistry().histogram("lat_seconds", buckets=[b / 1000 for b in range(1, 101)])
-    rng = np.random.default_rng(0)
-    samples = rng.uniform(0.001, 0.09, size=2000)
-    for s in samples:
-        h.observe(float(s))
-    # With 1 ms buckets the interpolated quantile is within one bucket
-    # width of the exact percentile.
-    for q in (0.5, 0.95, 0.99):
-        exact = float(np.quantile(samples, q))
-        assert h.quantile(q) == pytest.approx(exact, abs=1.5e-3)
-    assert h.count() == 2000
-    assert h.mean() == pytest.approx(float(samples.mean()), rel=1e-9)
-
-
-def test_histogram_bucket_validation_and_overflow():
-    registry = MetricsRegistry()
-    with pytest.raises(ValueError):
-        registry.histogram("bad", buckets=[2.0, 1.0])
-    h = registry.histogram("ok_seconds", buckets=[1.0, 2.0])
-    h.observe(99.0)  # overflow bucket
-    assert h.quantile(1.0) == 99.0
-    with pytest.raises(ValueError):
-        h.quantile(1.5)
-
-
-def test_registry_rejects_cross_type_name_collisions():
-    registry = MetricsRegistry()
-    registry.counter("thing_total")
-    with pytest.raises(ValueError):
-        registry.gauge("thing_total")
-    with pytest.raises(ValueError):
-        registry.histogram("thing_total", buckets=[1.0])
-    # Re-registration with the same type is get-or-create.
-    assert registry.counter("thing_total") is registry.counter("thing_total")
-    with pytest.raises(ValueError):
-        MetricsRegistry().histogram("needs_buckets")
-
-
-# ---------------------------------------------------------------------------
 # End-to-end: traced integrated run
 # ---------------------------------------------------------------------------
 
@@ -246,24 +181,23 @@ def test_decomposition_summary_and_report(traced_run):
     assert render_report([]).startswith("critical path: no displayed frames")
 
 
-def test_online_mtp_histogram_tracks_sample_percentiles(traced_run):
-    _, result, _ = traced_run
-    obs = result.observability
-    totals = np.array([s.total for s in result.mtp_samples])
-    percentiles = obs.mtp_percentiles()
-    # Fixed-bucket estimation: within one bucket width of the exact value.
-    assert percentiles["p50_ms"] == pytest.approx(float(np.quantile(totals, 0.5)) * 1e3, abs=2.5)
-    assert percentiles["p99_ms"] == pytest.approx(float(np.quantile(totals, 0.99)) * 1e3, abs=5.0)
+def test_summary_publishes_match_delivered_events(traced_run):
+    _, result, poses = traced_run
+    summary = result.summary()["observability"]
+    assert summary["spans"] > 0
+    assert summary["publishes"]["fast_pose"] == len(poses) > 0
 
 
-def test_scheduler_and_switchboard_metrics_populated(traced_run):
-    _, result, _ = traced_run
-    m = result.observability.metrics
-    assert m.counter("switchboard_publishes_total").value(topic="imu") > 0
-    assert m.counter("scheduler_invocations_total").value(plugin="timewarp") > 0
-    snapshot = m.snapshot()
-    assert "mtp_seconds" in snapshot["histograms"]
-    assert result.summary()["observability"]["spans"] > 0
+def test_model_fidelity_holds_no_imu_queue(traced_run):
+    # Only full-fidelity VIO drains IMU samples; at model fidelity nothing
+    # subscribes a queue to them.  At full fidelity VIO drains its queue on
+    # every frame, so it stays below twice the IMU samples per camera frame.
+    _, full, _ = traced_run
+    config = SystemConfig(duration_s=2.0, fidelity="model", seed=0)
+    model = build_runtime(DESKTOP, "sponza", config, observability=True).run()
+    assert "imu" not in model.summary()["observability"]["queue_high_water"]
+    per_frame = full.config.imu_rate_hz / full.config.camera_rate_hz
+    assert 0 < full.summary()["observability"]["queue_high_water"]["imu"] < 2 * per_frame
 
 
 def test_kernel_spans_nest_inside_invocations():
@@ -424,9 +358,6 @@ def test_supervisor_events_routed_to_sys_observability():
     assert [e.kind for e in seen] == [e.kind for e in runtime.supervisor.events]
 
     obs = result.observability
-    counter = obs.metrics.counter("supervisor_events_total")
-    assert counter.value(kind="crash", plugin="vio") >= 1
-    assert counter.value(kind="quarantine", plugin="vio") == 1
     # Each event also lands as an instant span on the supervisor lane.
     marks = [s for s in obs.tracer.by_track("supervisor/vio") if s.kind == "mark"]
     assert len(marks) == len(seen)

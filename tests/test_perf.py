@@ -14,6 +14,7 @@ Two kinds of guarantees:
 
 import functools
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -346,6 +347,22 @@ def test_render_pretest_keeps_corner_grazing_rays():
             reference = render_reference(renderer, pose)
             assert np.array_equal(frame.image, reference.image)
             assert np.array_equal(frame.depth, reference.depth)
+
+
+def test_render_outside_the_room_warns_nothing():
+    """A Sponza pose outside the room, turned so that about a sixth of its
+    rays enter it: the rays that miss shade no warning, and the render is
+    the oracle's."""
+    renderer = _renderer("sponza", 192, 108)
+    pose = Pose(np.array([4.2, 0.0, 1.6]), quat_from_axis_angle(np.array([0.0, 0.0, 1.0]), 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        frame = renderer.render(pose)
+    with np.errstate(all="ignore"):
+        reference = render_reference(renderer, pose)
+    assert 0.0 < np.mean(frame.depth > 0) < 1.0
+    assert np.array_equal(frame.image, reference.image)
+    assert np.array_equal(frame.depth, reference.depth)
 
 
 @functools.lru_cache(maxsize=4)
