@@ -171,9 +171,6 @@ def characterize_reprojection(frames: int = 24, seed: int = 0) -> TaskBreakdown:
     ``opengl_state`` (per-eye warp setup: homography/mesh computation --
     the driver-call stand-in), ``reprojection`` (the actual resampling).
     """
-    # The kernel imports scipy at its first call; pay that before the timers.
-    import scipy.interpolate
-
     from repro.maths.quaternion import quat_from_axis_angle, quat_multiply
     from repro.maths.se3 import Pose
     from repro.perf import TaskTimer

@@ -383,11 +383,11 @@ class Scheduler:
             for resource, pending in held:
                 resource.cancel(pending)
             end = engine.now
-            if span is not None:
-                obs.end_invocation(span, end=end, killed=True)
             cost = _NO_COST
             killed = True
             missed = deadline is not None
+            if span is not None:
+                obs.end_invocation(span, end=end, missed_deadline=missed, killed=True)
         else:
             # Activate the span (if traced) around the synchronous publishes
             # so outputs are stamped with this invocation's trace context.

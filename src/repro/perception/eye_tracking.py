@@ -39,6 +39,11 @@ def _im2col(x: np.ndarray, kernel: int) -> np.ndarray:
     )
 
 
+def _channels_last(grad_out: np.ndarray) -> np.ndarray:
+    """(N, C, H, W) -> (N*H*W, C), the row order of the im2col patches."""
+    return np.moveaxis(grad_out, 1, -1).reshape(-1, grad_out.shape[1])
+
+
 @dataclass
 class ConvLayer:
     """A 2-D convolution with bias, 'same' padding, stride 1."""
@@ -60,15 +65,22 @@ class ConvLayer:
         out = cols @ self.weight.T + self.bias
         return np.moveaxis(out, -1, 1), cols
 
-    def backward(
-        self, grad_out: np.ndarray, cols: np.ndarray, x_shape: Tuple[int, ...]
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Returns (grad_x, grad_weight, grad_bias)."""
-        n, out_c, h, w = grad_out.shape
-        g = np.moveaxis(grad_out, 1, -1).reshape(-1, out_c)  # (NHW, out_c)
-        grad_w = g.T @ cols.reshape(-1, cols.shape[-1])
-        grad_b = g.sum(axis=0)
-        grad_cols = (g @ self.weight).reshape(n, h, w, -1)
+    # Backpropagation in two halves: the weight half reads the forward
+    # patches and the input half builds a temporary as large as them, so a
+    # caller can free the patches before that temporary exists.
+
+    def weight_gradients(
+        self, grad_out: np.ndarray, cols: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """(grad_weight, grad_bias) from the output gradient (N, out_c, H, W)
+        and the patches :meth:`forward` returned."""
+        g = _channels_last(grad_out)
+        return g.T @ cols.reshape(-1, cols.shape[-1]), g.sum(axis=0)
+
+    def input_gradient(self, grad_out: np.ndarray, x_shape: Tuple[int, ...]) -> np.ndarray:
+        """grad_x (N, in_c, H, W) from the output gradient (N, out_c, H, W)."""
+        n, _out_c, h, w = grad_out.shape
+        grad_cols = (_channels_last(grad_out) @ self.weight).reshape(n, h, w, -1)
         # col2im: scatter-add the patch gradients back.
         in_c = x_shape[1]
         pad = self.kernel // 2
@@ -80,8 +92,7 @@ class ConvLayer:
                     grad_cols[..., idx * in_c : (idx + 1) * in_c], -1, 1
                 )
                 idx += 1
-        grad_x = grad_padded[:, :, pad : pad + h, pad : pad + w]
-        return grad_x, grad_w, grad_b
+        return grad_padded[:, :, pad : pad + h, pad : pad + w]
 
 
 @dataclass(frozen=True)
@@ -183,10 +194,15 @@ class EyeTracker:
             grad = (probs_c - target) * (pos_weight * target + (1 - target)) / n_pix
             grad = grad[:, None]  # (N, 1, H, W), already through sigmoid
             for i in reversed(range(len(self.layers))):
-                x_shape, cols, pre_activation = caches[i]
+                x_shape, cols, pre_activation = caches.pop()
                 if i < len(self.layers) - 1:
                     grad = grad * (pre_activation > 0)
-                grad, grad_w, grad_b = self.layers[i].backward(grad, cols, x_shape)
+                grad_w, grad_b = self.layers[i].weight_gradients(grad, cols)
+                # Free the patches before the input gradient's patch-sized
+                # temporary exists; nothing reads the first layer's.
+                del cols
+                if i > 0:
+                    grad = self.layers[i].input_gradient(grad, x_shape)
                 vw, vb = velocity[i]
                 vw *= momentum
                 vw -= learning_rate * grad_w

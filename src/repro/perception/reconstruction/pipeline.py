@@ -8,9 +8,13 @@ Per frame:
 4. **surfel prediction** -- raycast the volume from the estimated pose;
 5. **map fusion** -- integrate the depth frame into the TSDF.
 
-The first frame bootstraps the volume at the given pose.  The pipeline's
-per-frame time grows with map size and spikes when large re-integrations
-happen -- the behaviour §IV-B1 reports for ElasticFusion.
+The first frame bootstraps the volume at the given pose.  At the sizes run
+here, per-frame time does not grow with the map: the raycast sets most of
+it, and early frames march more rays through unobserved space, so later
+frames cost the same or less (``frame_time_growth`` 0.5-0.9, EXPERIMENTS.md
+Table VI).  Loop-closure re-integrations spike it, the behaviour §IV-B1
+reports for ElasticFusion: a closure frame costs several times the median
+frame (``tests/test_loop_closure.py``).
 """
 
 from __future__ import annotations

@@ -18,7 +18,10 @@ full-grid formulation kept in ``tests/kernel_oracles.py``, which the parity
 tests assert with array equality.
 
 The grid itself stays float32 end-to-end; every per-frame temporary is
-sized to the surviving-voxel count instead of the full grid.
+sized to the surviving-voxel count instead of the full grid.  No other
+per-voxel table is kept: a voxel's center is gathered from the per-axis
+``_axes`` table by its flat index when fusion needs it, and the block
+permutation holds int32 indices.
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ from repro.sensors.depth import DepthCamera
 
 # Voxels per cull-block edge; blocks at the far grid edges may be smaller.
 _BLOCK_EDGE = 8
+# The largest grid whose flat voxel indices (up to n^3 - 1) fit in int32.
+_MAX_RESOLUTION = 1290
 
 
 @dataclass
@@ -50,6 +55,10 @@ class TsdfVolume:
     def __post_init__(self) -> None:
         if self.resolution < 8:
             raise ValueError(f"resolution too small: {self.resolution}")
+        if self.resolution > _MAX_RESOLUTION:
+            raise ValueError(
+                f"resolution too large for int32 voxel indices: {self.resolution}"
+            )
         if not 0 < self.extent_m < np.inf:
             raise ValueError(f"extent must be positive and finite: {self.extent_m}")
         if not 0 < self.truncation_m < np.inf:
@@ -62,13 +71,8 @@ class TsdfVolume:
         self.tsdf = np.ones((n, n, n), dtype=np.float32)
         self.weight = np.zeros((n, n, n), dtype=np.float32)
         # axes[i, k]: coordinate k of the centers of voxel layer i.
-        axes = ((np.arange(n) + 0.5) * self.voxel_size)[:, None] + self.origin
-        centers = np.empty((n, n, n, 3))
-        centers[..., 0] = axes[:, None, None, 0]
-        centers[..., 1] = axes[None, :, None, 1]
-        centers[..., 2] = axes[None, None, :, 2]
-        self._centers = centers.reshape(-1, 3)
-        self._build_blocks(axes)
+        self._axes = ((np.arange(n) + 0.5) * self.voxel_size)[:, None] + self.origin
+        self._build_blocks(self._axes)
         # Flat-index offsets of a cell's 8 corners, in (dx, dy, dz) order.
         self._corner_offsets = np.array(
             [dx * n * n + dy * n + dz for dx in (0, 1) for dy in (0, 1) for dz in (0, 1)]
@@ -77,17 +81,17 @@ class TsdfVolume:
     def _build_blocks(self, axes: np.ndarray) -> None:
         """Pre-chunk the grid into cubic blocks for frustum culling.
 
-        Stores a block-major permutation of the flat voxel indices plus a
-        bounding sphere (center, radius over the *voxel centers*) and voxel
-        count per block.  ``axes[i, k]`` is coordinate k of the centers of
-        voxel layer i.
+        Stores a block-major permutation of the flat voxel indices (int32)
+        plus a bounding sphere (center, radius over the *voxel centers*) and
+        voxel count per block.  ``axes[i, k]`` is coordinate k of the centers
+        of voxel layer i.
         """
         n, edge = self.resolution, _BLOCK_EDGE
         n_blocks = -(-n // edge)  # ceil division; edge blocks may be smaller
         # Pad the index grid to whole blocks with -1, reorder it block-major
         # and drop the padding: each block keeps its voxels in C order.
-        padded = np.full((n_blocks * edge,) * 3, -1, dtype=np.int64)
-        padded[:n, :n, :n] = np.arange(n**3, dtype=np.int64).reshape(n, n, n)
+        padded = np.full((n_blocks * edge,) * 3, -1, dtype=np.int32)
+        padded[:n, :n, :n] = np.arange(n**3, dtype=np.int32).reshape(n, n, n)
         perm = padded.reshape((n_blocks, edge) * 3).transpose(0, 2, 4, 1, 3, 5).ravel()
         self._block_perm = perm[perm >= 0]
         # A block's voxel centers span its first to its last layer per axis.
@@ -106,6 +110,13 @@ class TsdfVolume:
         self._block_radii = np.sqrt((half[:, None, :] @ half[:, :, None]).ravel())
         sizes = last - first + 1
         self._block_sizes = np.einsum("i,j,k->ijk", sizes, sizes, sizes).ravel()
+
+    def _voxel_centers(self, flat: np.ndarray) -> np.ndarray:
+        """World centers (len(flat), 3) of the voxels at C-order flat indices."""
+        centers = np.empty((len(flat), 3))
+        for k, layer in enumerate(np.unravel_index(flat, (self.resolution,) * 3)):
+            centers[:, k] = self._axes[layer, k]
+        return centers
 
     @property
     def occupied_fraction(self) -> float:
@@ -150,7 +161,7 @@ class TsdfVolume:
             if len(selected) == 0:
                 return 0
             r_cw, t = self._camera_pose_to_extrinsics(pose, camera)
-            cam = self._centers[selected] @ r_cw.T + t
+            cam = self._voxel_centers(selected) @ r_cw.T + t
             z = cam[:, 2]
             in_front = z > 1e-3
             u = np.full(len(z), -1.0)

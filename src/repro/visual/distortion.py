@@ -5,11 +5,18 @@ runtime pre-applies the inverse (barrel) warp so the image looks correct
 through the lens.  Like the production TimeWarp shader, the warp is
 evaluated on a coarse mesh and bilinearly interpolated across pixels --
 exact per-pixel evaluation is available for testing.
+
+The mesh interpolation is a separable numpy port of the 2-D linear
+arithmetic of scipy's ``RegularGridInterpolator`` (RGI) and returns its
+doubles bit for bit (``tests/test_scipy_parity.py``): knot intervals and
+offsets are found once per row and once per column rather than once per
+pixel, and the four corner terms are summed in RGI's order.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+import itertools
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -22,6 +29,16 @@ DEFAULT_K2 = -0.04
 DEFAULT_CHROMATIC_SCALES = (0.994, 1.0, 1.008)  # R, G, B
 
 
+def _check_warp(width: int, height: int, k1: float, k2: float, scale: float) -> None:
+    """Reject a warp whose coordinates would be empty or non-finite."""
+    if width < 1 or height < 1:
+        raise ValueError(f"image size must be at least 1x1, got {width}x{height}")
+    if not (np.isfinite(k1) and np.isfinite(k2)):
+        raise ValueError(f"radial coefficients must be finite, got k1={k1}, k2={k2}")
+    if not 0 < scale < np.inf:
+        raise ValueError(f"scale must be positive and finite, got {scale}")
+
+
 def radial_warp_coordinates(
     width: int, height: int, k1: float, k2: float, scale: float = 1.0
 ) -> np.ndarray:
@@ -32,6 +49,7 @@ def radial_warp_coordinates(
     normalized by the half-diagonal so r <= 1 everywhere and the default
     coefficients keep the mapping monotonic (no fold-over at the corners).
     """
+    _check_warp(width, height, k1, k2, scale)
     u, v = np.meshgrid(np.arange(width, dtype=float), np.arange(height, dtype=float))
     cx, cy = width / 2.0, height / 2.0
     norm = float(np.hypot(cx, cy))
@@ -52,29 +70,50 @@ def mesh_warp_coordinates(
     """
     if mesh_step < 2:
         raise ValueError("mesh_step must be >= 2")
-    xs = np.unique(np.concatenate([np.arange(0, width, mesh_step), [width - 1]]))
-    ys = np.unique(np.concatenate([np.arange(0, height, mesh_step), [height - 1]]))
+    _check_warp(width, height, k1, k2, scale)
+    xs, columns = _mesh_axis(width, mesh_step)
+    ys, rows = _mesh_axis(height, mesh_step)
     cx, cy = width / 2.0, height / 2.0
     norm = float(np.hypot(cx, cy))
-    gx, gy = np.meshgrid(xs.astype(float), ys.astype(float))
+    gx, gy = np.meshgrid(xs, ys)
     x = (gx - cx) / norm
     y = (gy - cy) / norm
     r2 = (x * x + y * y) * scale * scale
     factor = 1.0 + k1 * r2 + k2 * r2 * r2
-    mesh_u = cx + x * factor * norm
-    mesh_v = cy + y * factor * norm
-    # Interpolate mesh -> full resolution.
-    from scipy.interpolate import RegularGridInterpolator
-
-    interp_u = RegularGridInterpolator((ys, xs), mesh_u, method="linear")
-    interp_v = RegularGridInterpolator((ys, xs), mesh_v, method="linear")
-    uu, vv = np.meshgrid(np.arange(width), np.arange(height))
-    points = np.stack([vv.ravel(), uu.ravel()], axis=-1)
-    coords = np.stack(
-        [interp_u(points).reshape(height, width), interp_v(points).reshape(height, width)],
-        axis=-1,
-    )
+    mesh = np.stack([cx + x * factor * norm, cy + y * factor * norm], axis=-1)
+    # Interpolate mesh -> full resolution: RGI's sum over the cell's
+    # corners, from 0.0, lower corner first, the column corner fastest,
+    # each term the knot value times the row weight times the column weight.
+    coords = np.zeros((height, width, 2))
+    for (row_knots, row_weights), (column_knots, column_weights) in itertools.product(
+        rows, columns
+    ):
+        coords += (
+            mesh[row_knots[:, None], column_knots]
+            * row_weights[:, None, None]
+            * column_weights[:, None]
+        )
     return coords
+
+
+def _mesh_axis(size: int, step: int) -> Tuple[np.ndarray, List[Tuple[np.ndarray, np.ndarray]]]:
+    """Knots along one image axis and each pixel's corners on it.
+
+    The knots sit every ``step`` pixels plus one on the last pixel.  A
+    pixel's corners are (knot index, weight) pairs: its interval's lower
+    knot weighted ``1 - t`` and upper knot weighted ``t``, ``t`` its offset
+    in the interval as a fraction, with RGI's interval rule (closed below,
+    the last one closed at both ends).  A one-knot axis has one corner of
+    weight 1; RGI interpolates along the other axis alone there, which sums
+    to the same doubles because no mesh value is -0.0.
+    """
+    knots = np.unique(np.concatenate([np.arange(0, size, step), [size - 1]])).astype(float)
+    pixels = np.arange(size, dtype=float)
+    if len(knots) == 1:
+        return knots, [(np.zeros(size, dtype=int), np.ones(size))]
+    lower = np.minimum(np.searchsorted(knots, pixels, side="right") - 1, len(knots) - 2)
+    t = (pixels - knots[lower]) / (knots[lower + 1] - knots[lower])
+    return knots, [(lower, 1 - t), (lower + 1, t)]
 
 
 def apply_lens_correction(

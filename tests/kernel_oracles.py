@@ -4,12 +4,14 @@ A parity oracle for ``tests/test_perf.py``: the functions below are the
 formulations the production kernels were derived from -- the per-plane
 Weighted Gerchberg-Saxton solve, the full-grid TSDF integrate, the all-rays
 renderer, the full-set TSDF raycast with its per-corner trilinear sample,
-the block-by-block cull-block setup and the per-offset eye-tracker im2col.
-Their bodies are the production bodies they replaced, except that the
-raycast samples through :func:`sample_reference` and the integrate carries
-production's saturated-weight averaging.  Production must match them: the
-batched WGS solve to atol 1e-8 (FFT batching reassociates sums),
-everything else bitwise.  Not collected as a test module.
+the block-by-block cull-block setup, the per-offset eye-tracker im2col,
+and the one-call convolution backward with the training loop that kept
+every layer's patches to the end of the step.  Their bodies are the
+production bodies they replaced, except that the raycast samples through
+:func:`sample_reference` and the integrate carries production's
+saturated-weight averaging.  Production must match them: the batched WGS
+solve to atol 1e-8 (FFT batching reassociates sums), everything else
+bitwise.  Not collected as a test module.
 """
 
 from __future__ import annotations
@@ -22,9 +24,11 @@ import numpy as np
 
 from repro.maths.quaternion import quat_rotate, quat_to_matrix
 from repro.maths.se3 import Pose
+from repro.perception.eye_tracking import ConvLayer, EyeTracker
 from repro.perception.reconstruction.raycast import RaycastResult
 from repro.perception.reconstruction.tsdf import _BLOCK_EDGE, TsdfVolume
 from repro.sensors.depth import DepthCamera
+from repro.sensors.eye import EyeImageGenerator
 from repro.visual.hologram import HologramResult, WeightedGerchbergSaxton
 from repro.visual.renderer import R_CAM_BODY, RenderedFrame, Renderer, _box_hit
 
@@ -116,12 +120,23 @@ class ReferenceWgs:
         )
 
 
+def voxel_centers_reference(volume: TsdfVolume) -> np.ndarray:
+    """The (n^3, 3) table of every voxel's world center, in C order."""
+    n = volume.resolution
+    axes = ((np.arange(n) + 0.5) * volume.voxel_size)[:, None] + volume.origin
+    centers = np.empty((n, n, n, 3))
+    centers[..., 0] = axes[:, None, None, 0]
+    centers[..., 1] = axes[None, :, None, 1]
+    centers[..., 2] = axes[None, None, :, 2]
+    return centers.reshape(-1, 3)
+
+
 def integrate_full_grid(volume: TsdfVolume, depth: np.ndarray, pose: Pose, camera: DepthCamera) -> int:
     """Fuse one depth frame by projecting *every* voxel of ``volume``."""
     r_wb = quat_to_matrix(pose.orientation)
     r_cw = camera._r_cam_body @ r_wb.T
     t = -r_cw @ pose.position
-    cam = volume._centers @ r_cw.T + t
+    cam = voxel_centers_reference(volume) @ r_cw.T + t
     z = cam[:, 2]
     in_front = z > 1e-3
     u = np.full(len(z), -1.0)
@@ -159,8 +174,8 @@ def build_blocks_reference(volume: TsdfVolume) -> Tuple[np.ndarray, np.ndarray, 
     block-major permutation, block centers, radii and voxel counts."""
     n, edge = volume.resolution, _BLOCK_EDGE
     n_blocks = -(-n // edge)  # ceil division; edge blocks may be smaller
-    grid_index = np.arange(n**3, dtype=np.int64).reshape(n, n, n)
-    centers_grid = volume._centers.reshape(n, n, n, 3)
+    grid_index = np.arange(n**3, dtype=np.int32).reshape(n, n, n)
+    centers_grid = voxel_centers_reference(volume).reshape(n, n, n, 3)
     perm_parts = []
     box_centers = []
     radii = []
@@ -377,3 +392,72 @@ def im2col_reference(x: np.ndarray, kernel: int) -> np.ndarray:
             )
             idx += 1
     return cols
+
+
+def conv_backward_reference(
+    layer: ConvLayer, grad_out: np.ndarray, cols: np.ndarray, x_shape: Tuple[int, ...]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``ConvLayer.backward``: returns (grad_x, grad_weight, grad_bias)."""
+    n, out_c, h, w = grad_out.shape
+    g = np.moveaxis(grad_out, 1, -1).reshape(-1, out_c)  # (NHW, out_c)
+    grad_w = g.T @ cols.reshape(-1, cols.shape[-1])
+    grad_b = g.sum(axis=0)
+    grad_cols = (g @ layer.weight).reshape(n, h, w, -1)
+    # col2im: scatter-add the patch gradients back.
+    in_c = x_shape[1]
+    pad = layer.kernel // 2
+    grad_padded = np.zeros((n, in_c, h + 2 * pad, w + 2 * pad))
+    idx = 0
+    for dy in range(layer.kernel):
+        for dx in range(layer.kernel):
+            grad_padded[:, :, dy : dy + h, dx : dx + w] += np.moveaxis(
+                grad_cols[..., idx * in_c : (idx + 1) * in_c], -1, 1
+            )
+            idx += 1
+    grad_x = grad_padded[:, :, pad : pad + h, pad : pad + w]
+    return grad_x, grad_w, grad_b
+
+
+def train_reference(
+    tracker: EyeTracker,
+    generator: EyeImageGenerator,
+    steps: int = 120,
+    batch_size: int = 8,
+    learning_rate: float = 0.05,
+    momentum: float = 0.9,
+) -> List[float]:
+    """``EyeTracker.train`` over :func:`conv_backward_reference`."""
+    velocity = [
+        (np.zeros_like(layer.weight), np.zeros_like(layer.bias)) for layer in tracker.layers
+    ]
+    losses: List[float] = []
+    for _step in range(steps):
+        samples = generator.batch(batch_size)
+        batch = np.stack([s.image for s in samples])[:, None].astype(float)
+        target = np.stack([s.mask for s in samples]).astype(float)
+        probs, caches = tracker._forward(batch)
+        eps = 1e-7
+        probs_c = np.clip(probs, eps, 1 - eps)
+        # Class-weighted BCE (the pupil is a small fraction of pixels).
+        pos_weight = 8.0
+        loss = -np.mean(
+            pos_weight * target * np.log(probs_c) + (1 - target) * np.log(1 - probs_c)
+        )
+        losses.append(float(loss))
+        n_pix = probs.size
+        grad = (probs_c - target) * (pos_weight * target + (1 - target)) / n_pix
+        grad = grad[:, None]  # (N, 1, H, W), already through sigmoid
+        for i in reversed(range(len(tracker.layers))):
+            x_shape, cols, pre_activation = caches[i]
+            if i < len(tracker.layers) - 1:
+                grad = grad * (pre_activation > 0)
+            grad, grad_w, grad_b = conv_backward_reference(tracker.layers[i], grad, cols, x_shape)
+            vw, vb = velocity[i]
+            vw *= momentum
+            vw -= learning_rate * grad_w
+            vb *= momentum
+            vb -= learning_rate * grad_b
+            tracker.layers[i].weight += vw
+            tracker.layers[i].bias += vb
+    tracker.trained = True
+    return losses

@@ -31,7 +31,7 @@ def test_conv_backward_matches_numeric_gradient():
     x = rng.random((1, 2, 5, 5))
     out, cols = layer.forward(x)
     grad_out = rng.random(out.shape)
-    _grad_x, grad_w, _grad_b = layer.backward(grad_out, cols, x.shape)
+    grad_w, _grad_b = layer.weight_gradients(grad_out, cols)
 
     eps = 1e-6
     i, j = 1, 7
@@ -46,9 +46,9 @@ def test_conv_backward_input_gradient_numeric():
     rng = np.random.default_rng(3)
     layer = ConvLayer.create(1, 2, 3, rng)
     x = rng.random((1, 1, 5, 5))
-    out, cols = layer.forward(x)
+    out, _cols = layer.forward(x)
     grad_out = rng.random(out.shape)
-    grad_x, _gw, _gb = layer.backward(grad_out, cols, x.shape)
+    grad_x = layer.input_gradient(grad_out, x.shape)
     eps = 1e-6
     x2 = x.copy()
     x2[0, 0, 2, 3] += eps

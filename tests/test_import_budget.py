@@ -1,10 +1,11 @@
 """An integrated run loads numpy, not scipy.
 
 scipy serves the standalone kernels (SSIM, FLIP, the hologram solve, depth
-preprocessing, distortion meshes), and each imports it at its first call.
-The characterizations that time those kernels load it before their timers
-start.  The checks need a fresh interpreter: in a pytest run other tests'
-oracles have already loaded scipy.
+preprocessing), and each imports it at its first call.  The
+characterizations that time those kernels load it before their timers
+start.  Nothing loads ``scipy.interpolate``: the distortion mesh is a numpy
+port of its bilinear interpolation.  The checks need a fresh interpreter: in
+a pytest run other tests' oracles have already loaded scipy.
 """
 
 import os
@@ -68,7 +69,7 @@ from repro.analysis.standalone import (
     characterize_reprojection,
 )
 from repro.perception.reconstruction import pipeline
-from repro.visual import distortion, hologram
+from repro.visual import hologram
 
 late = []
 
@@ -84,7 +85,6 @@ def timed_kernel(owner, name, module):
     setattr(owner, name, checked)
 
 
-timed_kernel(distortion, "mesh_warp_coordinates", "scipy.interpolate")
 timed_kernel(pipeline.ReconstructionPipeline, "process_frame", "scipy.ndimage")
 timed_kernel(hologram.WeightedGerchbergSaxton, "solve", "scipy.fft")
 
@@ -93,6 +93,26 @@ characterize_hologram(iterations=2, resolution=32)
 characterize_reprojection(frames=4)
 characterize_reconstruction(frames=8)
 assert not late, late
+"""
+
+
+# The lens-distortion mesh and the image-quality replay, in the order a
+# characterize batch runs them.
+NO_INTERPOLATE_SCRIPT = """
+import sys
+
+from repro import DESKTOP, SystemConfig, build_runtime
+from repro.analysis.standalone import characterize_reprojection
+from repro.metrics.qoe import evaluate_image_quality
+
+characterize_reprojection(frames=2)
+run = build_runtime(DESKTOP, "sponza", SystemConfig(duration_s=1.0, fidelity="full")).run()
+assert evaluate_image_quality(run, max_frames=2).frames > 0
+assert "scipy.ndimage" in sys.modules
+loaded = sorted(
+    name for name in sys.modules if name.split(".")[:2] == ["scipy", "interpolate"]
+)
+assert not loaded, f"loaded {loaded}"
 """
 
 
@@ -116,3 +136,7 @@ def test_integrated_run_imports_no_scipy():
 
 def test_characterizations_load_scipy_before_their_timers():
     _run_fresh(CHARACTERIZE_SCRIPT)
+
+
+def test_reprojection_and_image_quality_load_no_scipy_interpolate():
+    _run_fresh(NO_INTERPOLATE_SCRIPT)

@@ -365,6 +365,34 @@ def test_supervisor_events_routed_to_sys_observability():
     assert validate_chrome_trace(result.chrome_trace()) == []
 
 
+def test_span_deadline_misses_match_the_records_under_watchdog_kills():
+    """A watchdog-killed invocation misses its deadline in the records and
+    in its span alike: per plugin, the spans marked ``missed_deadline`` are
+    as many as the records that missed."""
+    from repro.resilience.plans import CANNED_PLANS
+
+    runtime = build_runtime(
+        DESKTOP,
+        "platformer",
+        SystemConfig(duration_s=3.0, seed=3),
+        fault_plan=CANNED_PLANS["renderer_stall"](3),
+        supervision=SupervisorConfig(),
+        observability=True,
+    )
+    result = runtime.run()
+    tracer = result.observability.tracer
+    records = result.logger.for_plugin("application")
+    assert any(r.killed and r.missed_deadline for r in records)
+    for plugin in result.logger.plugins():
+        spans = [
+            s
+            for s in tracer.by_track(plugin)
+            if s.kind == "invocation" and s.attributes.get("missed_deadline")
+        ]
+        misses = [r for r in result.logger.for_plugin(plugin) if r.missed_deadline]
+        assert len(spans) == len(misses), plugin
+
+
 def test_standalone_supervisor_works_without_switchboard():
     from repro.resilience import RuntimeSupervisor
 

@@ -5,9 +5,10 @@ Two kinds of guarantees:
 - **Parity**: the kernels must reproduce the formulations kept in
   ``tests/kernel_oracles.py`` -- bit-exact for TSDF culling, which only
   skips voxels that cannot project into the image, for the culled renderer
-  and the compacted raycast, which only skip rays that cannot hit, and for
-  the vectorized cull-block setup and im2col; to atol 1e-8 for WGS, where FFT
-  batching reassociates floating-point sums.
+  and the compacted raycast, which only skip rays that cannot hit, for
+  the vectorized cull-block setup and im2col, and for the eye tracker's
+  split convolution backward and the training loop that frees patches early;
+  to atol 1e-8 for WGS, where FFT batching reassociates floating-point sums.
 - **Utilities**: the plan cache, the task timer and the kernels' profiling
   spans behave as documented.
 """
@@ -26,12 +27,13 @@ from repro.maths.quaternion import matrix_to_quat, quat_from_axis_angle, quat_mu
 from repro.maths.se3 import Pose
 from repro.metrics.flip import flip
 from repro.metrics.ssim import ssim
-from repro.perception.eye_tracking import _im2col
+from repro.perception.eye_tracking import ConvLayer, EyeTracker, _im2col
 from repro.perception.reconstruction.raycast import raycast
 from repro.perception.reconstruction.tsdf import TsdfVolume
 from repro.perf import PlanCache, TaskTimer, enable_profiling, profile, profile_summary, span
 from repro.perf.cache import MAX_ENTRIES
 from repro.sensors.depth import DepthCamera, DepthScene
+from repro.sensors.eye import EyeImageGenerator
 from repro.sensors.trajectory import lab_walk_trajectory
 from repro.visual.hologram import WeightedGerchbergSaxton
 from repro.visual.renderer import R_CAM_BODY, RenderCamera, Renderer
@@ -39,12 +41,15 @@ from repro.visual.scenes import APPLICATIONS, scene_by_name
 from tests.kernel_oracles import (
     ReferenceWgs,
     build_blocks_reference,
+    conv_backward_reference,
     gradient_reference,
     im2col_reference,
     integrate_full_grid,
     raycast_reference,
     render_reference,
     sample_reference,
+    train_reference,
+    voxel_centers_reference,
 )
 
 
@@ -448,11 +453,12 @@ def _sample_points(draw):
     """Points anywhere in or around the 40^3 grid, or within a voxel of an
     observed voxel's center."""
     volume, _, _ = _fused_volume(40, 40, 30, 3)
+    centers = voxel_centers_reference(volume)
     observed = np.flatnonzero(volume.weight.reshape(-1) > 0)
     anywhere = st.tuples(_COORDINATES, _COORDINATES, _COORDINATES).map(np.array)
     offset = st.floats(-volume.voxel_size, volume.voxel_size)
     near = st.tuples(st.sampled_from(observed), offset, offset, offset).map(
-        lambda c: volume._centers[c[0]] + np.array(c[1:])
+        lambda c: centers[c[0]] + np.array(c[1:])
     )
     return np.array(draw(st.lists(st.one_of(anywhere, near), min_size=1, max_size=64)))
 
@@ -476,6 +482,34 @@ def test_im2col_matches_oracle(channels, kernel):
     reference = im2col_reference(x, kernel)
     assert cols.dtype == reference.dtype and cols.flags.c_contiguous
     assert np.array_equal(cols, reference)
+
+
+@pytest.mark.parametrize("in_c, out_c", [(1, 8), (8, 8), (8, 1)])
+@pytest.mark.parametrize("kernel", [1, 3])
+def test_conv_backward_halves_match_oracle(in_c, out_c, kernel):
+    rng = np.random.default_rng(in_c * 100 + out_c * 10 + kernel)
+    layer = ConvLayer.create(in_c, out_c, kernel, rng)
+    x = rng.normal(size=(2, in_c, 12, 16))
+    out, cols = layer.forward(x)
+    grad_out = rng.normal(size=out.shape)
+    grad_x, grad_w, grad_b = conv_backward_reference(layer, grad_out, cols, x.shape)
+    got_w, got_b = layer.weight_gradients(grad_out, cols)
+    assert np.array_equal(got_w, grad_w)
+    assert np.array_equal(got_b, grad_b)
+    assert np.array_equal(layer.input_gradient(grad_out, x.shape), grad_x)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_eye_tracker_training_matches_oracle(seed):
+    """Twelve steps at the default batch of 8: the losses and every layer's
+    weights and biases are the oracle loop's, bit for bit."""
+    tracker, reference = EyeTracker(seed=seed), EyeTracker(seed=seed)
+    losses = tracker.train(EyeImageGenerator(seed=seed), steps=12)
+    reference_losses = train_reference(reference, EyeImageGenerator(seed=seed), steps=12)
+    assert losses == reference_losses
+    for layer, ref in zip(tracker.layers, reference.layers):
+        assert layer.weight.tobytes() == ref.weight.tobytes()
+        assert layer.bias.tobytes() == ref.bias.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,10 @@ def test_gradient_points_along_increasing_distance(fused_volume, camera):
 def test_volume_validation():
     with pytest.raises(ValueError):
         TsdfVolume(resolution=4)
+    # 1291^3 voxels overflow the int32 flat indices (checked before any
+    # grid is allocated).
+    with pytest.raises(ValueError):
+        TsdfVolume(resolution=1291)
     with pytest.raises(ValueError):
         TsdfVolume(truncation_m=0.0)
     for kwargs in (

@@ -1,10 +1,12 @@
-"""The numpy ports that replace scipy on the integrated-run path, against scipy.
+"""The numpy ports that replace scipy, against scipy.
 
 An integrated run fits its trajectory spline, takes the timewarp lead's
-normal quantile and gates VIO updates without importing scipy.  Each port
-reproduces scipy's arithmetic, so the values are the same doubles: the
-natural ``CubicSpline`` (LAPACK dgtsv for the knot slopes), ``norm.ppf``
-(cephes ndtri) and the committed ``chi2.ppf(0.95, dof)`` table.
+normal quantile and gates VIO updates without importing scipy, and the
+lens-distortion mesh is interpolated without it.  Each port reproduces
+scipy's arithmetic, so the values are the same doubles: the natural
+``CubicSpline`` (LAPACK dgtsv for the knot slopes), ``norm.ppf`` (cephes
+ndtri), the committed ``chi2.ppf(0.95, dof)`` table and the 2-D linear
+``RegularGridInterpolator``.
 
 Equality is bitwise under scipy 1.17.1, the release the table was taken
 from.  Another release may round a quantile differently, so there the bar
@@ -13,7 +15,9 @@ is a 1e-12 relative error.
 
 import numpy as np
 import scipy
-from scipy.interpolate import CubicSpline
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline, RegularGridInterpolator
 from scipy.special import ndtri
 from scipy.stats import chi2
 
@@ -21,6 +25,7 @@ from repro.hardware.timing import normal_quantile
 from repro.maths.splines import TrajectorySpline
 from repro.perception.vio.update import CHI2_MAX_DOF, chi2_threshold
 from repro.sensors import trajectory
+from repro.visual.distortion import mesh_warp_coordinates
 
 BITWISE = scipy.__version__ == "1.17.1"
 
@@ -110,3 +115,47 @@ def test_normal_quantile_matches_ndtri():
 def test_chi2_table_matches_scipy():
     dofs = np.arange(1, CHI2_MAX_DOF + 1)
     assert_same_doubles([chi2_threshold(int(dof)) for dof in dofs], chi2.ppf(0.95, dofs))
+
+
+def scipy_mesh_warp(width, height, k1, k2, scale, mesh_step):
+    """The mesh warp interpolated by scipy's ``RegularGridInterpolator``."""
+    xs = np.unique(np.concatenate([np.arange(0, width, mesh_step), [width - 1]]))
+    ys = np.unique(np.concatenate([np.arange(0, height, mesh_step), [height - 1]]))
+    cx, cy = width / 2.0, height / 2.0
+    norm = float(np.hypot(cx, cy))
+    gx, gy = np.meshgrid(xs.astype(float), ys.astype(float))
+    x = (gx - cx) / norm
+    y = (gy - cy) / norm
+    r2 = (x * x + y * y) * scale * scale
+    factor = 1.0 + k1 * r2 + k2 * r2 * r2
+    uu, vv = np.meshgrid(np.arange(width), np.arange(height))
+    points = np.stack([vv.ravel(), uu.ravel()], axis=-1)
+    return np.stack(
+        [
+            RegularGridInterpolator((ys, xs), mesh, method="linear")(points).reshape(height, width)
+            for mesh in (cx + x * factor * norm, cy + y * factor * norm)
+        ],
+        axis=-1,
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    width=st.integers(1, 90),
+    height=st.integers(1, 70),
+    mesh_step=st.integers(2, 40),
+    k1=st.floats(-0.5, 0.5),
+    k2=st.floats(-0.3, 0.3),
+    scale=st.floats(0.25, 4.0),
+)
+# The characterization's mesh, one-pixel rows and columns, a 1x1 image, a
+# step that divides neither side, and a step wider than the image.
+@example(width=192, height=108, mesh_step=16, k1=-0.12, k2=-0.04, scale=1.0)
+@example(width=1, height=1, mesh_step=16, k1=-0.22, k2=-0.04, scale=0.994)
+@example(width=1, height=37, mesh_step=5, k1=-0.22, k2=-0.04, scale=1.008)
+@example(width=45, height=1, mesh_step=4, k1=0.3, k2=0.1, scale=2.0)
+@example(width=50, height=29, mesh_step=16, k1=-0.22, k2=-0.04, scale=1.0)
+@example(width=7, height=5, mesh_step=40, k1=-0.5, k2=0.3, scale=0.25)
+def test_mesh_warp_matches_regular_grid_interpolator(width, height, mesh_step, k1, k2, scale):
+    got = mesh_warp_coordinates(width, height, k1, k2, scale=scale, mesh_step=mesh_step)
+    assert_same_doubles(got, scipy_mesh_warp(width, height, k1, k2, scale, mesh_step))

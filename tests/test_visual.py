@@ -251,6 +251,51 @@ def test_lens_correction_validation(sponza_frame):
         apply_lens_correction(sponza_frame.image, chromatic_scales=(1.0, 1.0))
 
 
+# Each would give an empty or a non-finite warp: (10, 0, 2) coordinates for
+# a zero width, NaN for a NaN coefficient or scale.
+DEGENERATE_WARPS = [
+    {"width": 0},
+    {"width": -4},
+    {"height": 0},
+    {"k1": np.nan},
+    {"k1": np.inf},
+    {"k2": np.nan},
+    {"k2": -np.inf},
+    {"scale": np.nan},
+    {"scale": np.inf},
+    {"scale": 0.0},
+    {"scale": -1.0},
+]
+
+
+@pytest.mark.parametrize("kwargs", DEGENERATE_WARPS)
+@pytest.mark.parametrize("warp", [radial_warp_coordinates, mesh_warp_coordinates])
+def test_warp_rejects_degenerate_inputs(warp, kwargs):
+    with pytest.raises(ValueError):
+        warp(**{"width": 10, "height": 8, "k1": -0.1, "k2": 0.0, "scale": 1.0, **kwargs})
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"k1": np.nan},
+        {"k2": np.inf},
+        {"chromatic_scales": (0.994, np.nan, 1.008)},
+        {"chromatic_scales": (0.994, 1.0, 0.0)},
+    ],
+)
+def test_lens_correction_rejects_degenerate_inputs(sponza_frame, kwargs):
+    """A NaN coefficient used to return a black image, a NaN scale a black
+    channel."""
+    with pytest.raises(ValueError):
+        apply_lens_correction(sponza_frame.image, **kwargs)
+
+
+def test_lens_correction_rejects_an_empty_image():
+    with pytest.raises(ValueError):
+        apply_lens_correction(np.zeros((0, 10, 3)))
+
+
 # ---------------------------------------------------------------------------
 # Hologram (Weighted Gerchberg-Saxton)
 # ---------------------------------------------------------------------------
