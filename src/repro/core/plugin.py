@@ -115,7 +115,9 @@ class Plugin:
     name: str = "plugin"
     component: str = "generic"
     pipeline: str = "perception"
-    uses_gpu: bool = False
+    # GPU context priority on platforms with priority contexts (lower runs
+    # first); the compositor's reprojection context sets -1.
+    gpu_priority: int = 0
 
     def __init__(self, trigger: Trigger) -> None:
         self.trigger = trigger

@@ -16,7 +16,10 @@ from typing import Dict, List, NamedTuple, Optional, Sequence
 
 
 class InvocationRecord(NamedTuple):
-    """One completed (or dropped) plugin invocation.
+    """One plugin invocation that ran (completed or watchdog-killed).
+
+    A trigger that found the plugin busy ran nothing and is a
+    :class:`DropRecord` instead.
 
     Records, like the other per-invocation values (:class:`DropRecord`,
     :class:`~repro.core.plugin.InvocationContext`,
@@ -36,7 +39,6 @@ class InvocationRecord(NamedTuple):
     gpu_time: float
     deadline: Optional[float]
     missed_deadline: bool
-    dropped: bool = False
     # True when the supervisor's watchdog reaped a hung invocation; such
     # records carry no cost (their CPU/GPU slots were reclaimed).
     killed: bool = False

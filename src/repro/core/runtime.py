@@ -56,7 +56,7 @@ class RuntimeResult:
     utilization: Dict[str, float]
     power: PowerBreakdown
     vio_trajectory: List[Tuple[float, VioEstimate]]
-    fast_pose_count: int
+    fast_pose_count: int  # fast_pose events delivered (the topic's count)
     trajectory: TrajectorySpline
     # Resilience artifacts (None on unsupervised runs): the supervision
     # report and the fault injector's event-level injection log.
@@ -198,12 +198,9 @@ class Runtime:
         self.fault_plan = fault_plan
         self.supervisor = None
         if fault_plan is not None or supervision is not None:
-            from repro.resilience.supervisor import RuntimeSupervisor, SupervisorConfig
+            from repro.resilience.supervisor import RuntimeSupervisor
 
-            if isinstance(supervision, RuntimeSupervisor):
-                self.supervisor = supervision
-            else:
-                self.supervisor = RuntimeSupervisor(supervision or SupervisorConfig())
+            self.supervisor = RuntimeSupervisor(supervision)
             self.supervisor.attach(self.switchboard, self.engine)
         if fault_plan is not None:
             fault_plan.begin_run(self.engine)
@@ -242,17 +239,12 @@ class Runtime:
             raise ValueError(f"duration must be positive: {duration}")
 
         vio_log: List[Tuple[float, VioEstimate]] = []
-        fast_pose_count = [0]
 
         def collect_slow_pose(event) -> None:
             if event.data is not None:
                 vio_log.append((event.publish_time, event.data))
 
-        def collect_fast_pose(_event) -> None:
-            fast_pose_count[0] += 1
-
         self.switchboard.topic("slow_pose").subscribe_callback(collect_slow_pose)
-        self.switchboard.topic("fast_pose").subscribe_callback(collect_fast_pose)
 
         # Profiled kernels and task blocks nest as kernel spans in the
         # active invocation span of the installed tracer (a no-op while
@@ -289,7 +281,7 @@ class Runtime:
             utilization=utilization,
             power=power,
             vio_trajectory=vio_log,
-            fast_pose_count=fast_pose_count[0],
+            fast_pose_count=self.switchboard.topic("fast_pose").count,
             trajectory=self.trajectory,
             supervision=self.supervisor.report() if self.supervisor is not None else None,
             fault_log=list(self.fault_plan.log) if self.fault_plan is not None else [],
@@ -309,10 +301,10 @@ def build_runtime(
     """Assemble the paper's integrated system configuration (§III-B).
 
     ``fault_plan`` (a :class:`repro.resilience.FaultPlan`) and
-    ``supervision`` (a :class:`repro.resilience.SupervisorConfig` or a
-    prebuilt supervisor) opt the run into the resilience layer; both
-    default to off, leaving the hot paths untouched.  ``observability=True``
-    opts into causal tracing (:mod:`repro.obs`) under the same discipline.
+    ``supervision`` (a :class:`repro.resilience.SupervisorConfig`) opt the
+    run into the resilience layer; both default to off, leaving the hot
+    paths untouched.  ``observability=True`` opts into causal tracing
+    (:mod:`repro.obs`) under the same discipline.
     """
     config = config or SystemConfig()
     scene: Scene = scene_by_name(app_name)

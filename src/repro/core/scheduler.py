@@ -24,8 +24,7 @@ from __future__ import annotations
 
 import math
 from contextlib import nullcontext
-from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 from repro.core.plugin import InvocationContext, OnTopic, OnVsync, Periodic, Plugin
 from repro.core.records import InvocationRecord, RecordLogger
@@ -40,18 +39,9 @@ from repro.sim.resources import Resource
 _NO_COST = CostSample(0.0, 0.0)
 # Stands in for the span activation around an untraced invocation's publishes.
 _UNTRACED = nullcontext()
-
-
-@dataclass
-class CompletionInfo:
-    """Timing facts handed to ``plugin.on_complete`` after an invocation."""
-
-    scheduled_at: float
-    start: float
-    end: float
-    cpu_time: float
-    gpu_time: float
-    swap_time: float   # when outputs became visible (vsync for OnVsync)
+# GPU preemption granularity on a GPU with priority contexts (the
+# draw-call/kernel boundary timeslice).
+GPU_QUANTUM = 2.0e-3
 
 
 class Scheduler:
@@ -85,16 +75,16 @@ class Scheduler:
         self.obs = observability
         self.cpu = Resource(engine, platform.cpu_cores, name="cpu")
         self.gpu = Resource(engine, platform.gpu_concurrency, name="gpu")
-        # GPU preemption granularity (draw-call/kernel boundary timeslice).
-        self.gpu_quantum = 2.0e-3
         # Per-component clock dilation (§V.G, evaluation-tools idea 3):
         # a component whose detailed model runs in an external simulator
         # can be slowed by a factor so the rest of the system experiences
         # its simulated-speed behaviour (hybrid real+simulated systems).
         self.dilation: Dict[str, float] = dict(dilation or {})
         for component, factor in self.dilation.items():
-            if factor <= 0:
-                raise ValueError(f"dilation for {component!r} must be positive")
+            if not 0 < factor < math.inf:
+                raise ValueError(
+                    f"dilation for {component!r} must be finite and positive, got {factor}"
+                )
         self._busy: Dict[str, bool] = {}
         self._indices: Dict[str, int] = {}
 
@@ -105,113 +95,85 @@ class Scheduler:
         self._busy[plugin.name] = False
         self._indices[plugin.name] = 0
         trigger = plugin.trigger
-        if isinstance(trigger, Periodic):
-            self.engine.process(self._periodic_driver(plugin, trigger), name=plugin.name)
-        elif isinstance(trigger, OnVsync):
-            self.engine.process(self._vsync_driver(plugin, trigger), name=plugin.name)
+        if isinstance(trigger, (Periodic, OnVsync)):
+            self.engine.process(self._clock_driver(plugin, trigger), name=plugin.name)
         elif isinstance(trigger, OnTopic):
-            self._install_topic_driver(plugin, trigger)
+            engine = self.engine
+
+            def on_publish(event) -> None:
+                self._trigger(plugin, engine.now, None, None, event)
+
+            self.switchboard.topic(trigger.topic).subscribe_callback(on_publish)
         else:
             raise TypeError(f"unknown trigger type: {trigger!r}")
 
     # ------------------------------------------------------------------
-    # Drivers
+    # Triggers
     # ------------------------------------------------------------------
 
-    def _periodic_driver(self, plugin: Plugin, trigger: Periodic):
+    def _clock_driver(self, plugin: Plugin, trigger: Periodic | OnVsync):
+        """Trigger ``plugin`` at ``k * period - lead`` for k = first, first + 1, ...
+
+        ``Periodic``: lead 0, first tick 0, deadline the period.
+        ``OnVsync``: the plugin starts ``lead`` before each vsync from the
+        first one, and its deadline is the lead -- finishing after it means
+        the vsync was missed and the frame slips to the next one.
+        """
         period = trigger.period
-        tick = 0
+        if isinstance(trigger, OnVsync):
+            lead, tick, deadline, vsync_period = trigger.lead, 1, trigger.lead, period
+        else:
+            lead, tick, deadline, vsync_period = 0.0, 0, period, None
+        engine = self.engine
         while True:
-            scheduled = tick * period
-            if scheduled > self.engine.now:
-                yield self.engine.timeout(scheduled - self.engine.now)
-            if self.supervisor is not None and self.supervisor.is_quarantined(plugin.name):
-                # Quarantine is terminal: stop driving (and stop logging
-                # drops -- a dead plugin must not inflate drop counts).
+            scheduled = tick * period - lead
+            if scheduled > engine.now:
+                yield engine.timeout(scheduled - engine.now)
+            if not self._trigger(plugin, scheduled, deadline, vsync_period):
                 return
-            if self._busy[plugin.name]:
-                self.logger.log_drop(plugin.name, scheduled)
-            else:
-                self._busy[plugin.name] = True
-                self._spawn(
-                    plugin, scheduled, deadline=period, name=f"{plugin.name}#{tick}"
-                )
             tick += 1
 
-    def _vsync_driver(self, plugin: Plugin, trigger: OnVsync):
-        period = trigger.period
-        tick = 1
-        while True:
-            vsync = tick * period
-            start_at = vsync - trigger.lead
-            if start_at > self.engine.now:
-                yield self.engine.timeout(start_at - self.engine.now)
-            if self.supervisor is not None and self.supervisor.is_quarantined(plugin.name):
-                return
-            if self._busy[plugin.name]:
-                self.logger.log_drop(plugin.name, start_at)
-            else:
-                # Deadline = the lead: finishing after it means the vsync
-                # was missed and the frame slips to the next one.
-                self._busy[plugin.name] = True
-                self._spawn(
-                    plugin,
-                    start_at,
-                    deadline=trigger.lead,
-                    vsync_period=period,
-                    name=f"{plugin.name}#{tick}",
-                )
-            tick += 1
-
-    def _install_topic_driver(self, plugin: Plugin, trigger: OnTopic) -> None:
-        topic = self.switchboard.topic(trigger.topic)
-
-        def on_publish(_event) -> None:
-            if self.supervisor is not None and self.supervisor.is_quarantined(plugin.name):
-                return
-            if self._busy[plugin.name]:
-                self.logger.log_drop(plugin.name, self.engine.now)
-            else:
-                self._busy[plugin.name] = True
-                self._spawn(
-                    plugin,
-                    self.engine.now,
-                    deadline=None,
-                    trigger_event=_event,
-                    name=f"{plugin.name}@{self.engine.now:.4f}",
-                )
-
-        topic.subscribe_callback(on_publish)
-
-    def _spawn(
+    def _trigger(
         self,
         plugin: Plugin,
         scheduled_at: float,
         deadline: Optional[float],
-        vsync_period: Optional[float] = None,
+        vsync_period: Optional[float],
         trigger_event=None,
-        name: str = "",
-    ) -> None:
-        """Launch one invocation process, arming the watchdog if supervised."""
+    ) -> bool:
+        """One trigger of ``plugin``: start an invocation, or log a drop
+        while the previous one still runs.
+
+        Returns False once the plugin is quarantined: quarantine is
+        terminal, so its clock driver stops (and stops logging drops -- a
+        dead plugin must not inflate drop counts).
+        """
+        name = plugin.name
+        supervisor = self.supervisor
+        if supervisor is not None and supervisor.is_quarantined(name):
+            return False
+        if self._busy[name]:
+            self.logger.log_drop(name, scheduled_at)
+            return True
+        # Busy from here, not from the invocation's first step: a trigger
+        # at the same timestamp must already see it.
+        self._busy[name] = True
         process = self.engine.process(
             self._invocation(plugin, scheduled_at, deadline, vsync_period, trigger_event), name
         )
-        supervisor = self.supervisor
         if supervisor is None:
-            return
+            return True
         timeout = supervisor.watchdog_timeout(deadline)
 
         def watchdog_check() -> None:
             if process.is_alive:
                 supervisor.record_failure(
-                    plugin.name,
-                    self.engine.now,
-                    TimeoutError(f"hung > {timeout:.4f}s"),
-                    kind="hang",
+                    name, self.engine.now, TimeoutError(f"hung > {timeout:.4f}s"), kind="hang"
                 )
                 process.interrupt("watchdog")
 
         self.engine.call_later(timeout, watchdog_check)
+        return True
 
     # ------------------------------------------------------------------
     # One invocation
@@ -275,7 +237,7 @@ class Scheduler:
         vsync_period: Optional[float] = None,
         trigger_event=None,
     ):
-        # The spawner already marked the plugin busy (it must happen
+        # The trigger already marked the plugin busy (it must happen
         # before any other same-timestamp trigger fires).
         engine = self.engine
         name = plugin.name
@@ -344,8 +306,8 @@ class Scheduler:
             if cost.gpu_time > 0:
                 if self.platform.gpu_priority_contexts:
                     # Discrete GPU: fine-grained timeslicing + priority contexts.
-                    priority = getattr(plugin, "gpu_priority", 0)
-                    quantum = self.gpu_quantum
+                    priority = plugin.gpu_priority
+                    quantum = GPU_QUANTUM
                 else:
                     # Integrated GPU: clients yield only at draw-call boundaries,
                     # and draws scale with scene complexity -- so a heavy app
@@ -378,16 +340,16 @@ class Scheduler:
                 if swap_time > end:
                     yield engine.timeout(swap_time - end)
         except Interrupt:
-            # Watchdog kill: reclaim any held slots and log a killed record
-            # with no cost (the slots were reclaimed).
+            # Watchdog kill: reclaim any held slots; the killed record
+            # carries no cost (the slots were reclaimed) and releases no
+            # outputs.
             for resource, pending in held:
                 resource.cancel(pending)
             end = engine.now
             cost = _NO_COST
-            killed = True
+            swap_time = None
             missed = deadline is not None
-            if span is not None:
-                obs.end_invocation(span, end=end, missed_deadline=missed, killed=True)
+            killed = True
         else:
             # Activate the span (if traced) around the synchronous publishes
             # so outputs are stamped with this invocation's trace context.
@@ -396,40 +358,31 @@ class Scheduler:
             with obs.tracer.activate(span) if span is not None else _UNTRACED:
                 for output in result.outputs:
                     topic(output.topic).put(now, output.data, data_time=output.data_time)
-            killed = False
             missed = deadline is not None and (end - scheduled_at) > deadline
-            if span is not None:
-                obs.end_invocation(
-                    span,
-                    end=end,
-                    cpu_time=cost.cpu_time,
-                    gpu_time=cost.gpu_time,
-                    swap_time=swap_time if vsync_period is not None else None,
-                    missed_deadline=missed,
-                )
-        # Fields in declaration order: binding thirteen keywords would cost
+            killed = False
+        # One block reports the outcome: the record is built once, and the
+        # span, the log and the plugin's completion hook get its values.
+        # Fields in declaration order: binding twelve keywords would cost
         # more than building the tuple.
-        self.logger.log(
-            InvocationRecord(
-                name, component, plugin.pipeline, index,
-                scheduled_at, start, end, cost.cpu_time, cost.gpu_time,
-                deadline, missed, False, killed,
+        record = InvocationRecord(
+            name, component, plugin.pipeline, index,
+            scheduled_at, start, end, cost.cpu_time, cost.gpu_time,
+            deadline, missed, killed,
+        )
+        if span is not None:
+            obs.end_invocation(
+                span,
+                end=end,
+                cpu_time=cost.cpu_time,
+                gpu_time=cost.gpu_time,
+                swap_time=swap_time if vsync_period is not None else None,
+                missed_deadline=missed,
+                killed=killed,
             )
-        )
-        on_complete: Optional[Callable[[CompletionInfo], None]] = getattr(
-            plugin, "on_complete", None
-        )
+        self.logger.log(record)
+        on_complete = getattr(plugin, "on_complete", None)
         if on_complete is not None and not killed:
-            on_complete(
-                CompletionInfo(
-                    scheduled_at=scheduled_at,
-                    start=start,
-                    end=end,
-                    cpu_time=cost.cpu_time,
-                    gpu_time=cost.gpu_time,
-                    swap_time=swap_time,
-                )
-            )
+            on_complete(record, swap_time)
         self._busy[name] = False
 
     # ------------------------------------------------------------------

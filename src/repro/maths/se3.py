@@ -14,7 +14,9 @@ import numpy as np
 from repro.maths.quaternion import (
     quat_angle_between,
     quat_conjugate,
+    quat_exp,
     quat_identity,
+    quat_log,
     quat_multiply,
     quat_normalize,
     quat_rotate,
@@ -114,3 +116,28 @@ class Pose:
     def rotation_error(self, other: "Pose") -> float:
         """Geodesic angle between the two orientations (radians)."""
         return quat_angle_between(self.orientation, other.orientation)
+
+
+def extrapolate_pose(
+    head: Pose, head_time: float, previous: Pose, previous_time: float, horizon: float
+) -> Pose:
+    """``head`` carried ``horizon`` seconds forward at constant velocity.
+
+    The linear and angular velocities are the differences from
+    ``previous`` to ``head`` over their data times.  ``head`` itself comes
+    back when there is nothing to predict (``horizon <= 0``) or the two
+    poses are too close in time to differentiate.
+    """
+    if horizon <= 0:
+        return head
+    dt = head_time - previous_time
+    if dt <= 1e-6:
+        return head
+    delta = quat_multiply(quat_conjugate(previous.orientation), head.orientation)
+    omega = quat_log(delta) / dt
+    velocity = (head.position - previous.position) / dt
+    return Pose(
+        position=head.position + velocity * horizon,
+        orientation=quat_multiply(head.orientation, quat_exp(omega * horizon)),
+        timestamp=head.timestamp,
+    )

@@ -29,13 +29,12 @@ from repro.obs.critical_path import (
     render_report,
 )
 from repro.obs.export import chrome_trace, validate_chrome_trace
-from repro.obs.observability import SYS_TOPIC, Observability
+from repro.obs.observability import Observability
 from repro.obs.tracer import Span, SpanLink, Tracer
 
 __all__ = [
     "FrameCriticalPath",
     "Observability",
-    "SYS_TOPIC",
     "Span",
     "SpanLink",
     "TraceContext",

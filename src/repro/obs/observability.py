@@ -9,7 +9,8 @@ and implements the hook protocols the core exposes:
 - the **scheduler hooks** (``begin_invocation`` / ``note_attempt`` /
   ``on_attempt_error`` / ``end_invocation``), which wrap every plugin
   invocation in a span;
-- a subscriber on the ``sys/observability`` topic, which converts
+- a subscriber on the supervisor's ``sys/observability`` topic
+  (:data:`~repro.resilience.supervisor.OBSERVABILITY_TOPIC`), which converts
   supervisor lifecycle events (crash, retry, quarantine, dead-letter,
   degraded) into instant spans so chaos runs are visible in exported
   traces.
@@ -30,9 +31,7 @@ from typing import Any, Dict, Optional
 
 from repro.obs.context import TraceContext
 from repro.obs.tracer import Span, SpanLink, Tracer
-
-#: Topic supervisors route lifecycle events to (see repro.resilience).
-SYS_TOPIC = "sys/observability"
+from repro.resilience.supervisor import OBSERVABILITY_TOPIC
 
 
 class Observability:
@@ -54,7 +53,7 @@ class Observability:
         self._switchboard = switchboard
         self.tracer.set_clock(lambda: engine.now)
         switchboard.install_observer(self)
-        switchboard.topic(SYS_TOPIC).subscribe_callback(self._on_sys_event)
+        switchboard.topic(OBSERVABILITY_TOPIC).subscribe_callback(self._on_sys_event)
 
     # ------------------------------------------------------------------
     # Switchboard observer protocol

@@ -77,6 +77,25 @@ class Span:
         return (self.end - self.start) if self.end is not None else 0.0
 
 
+class _Activation:
+    """The context manager :meth:`Tracer.activate` returns: pushes the span
+    on the activation stack on entry and pops it on exit.  A slotted class,
+    not a generator: the scheduler enters one twice per traced invocation."""
+
+    __slots__ = ("_stack", "_span")
+
+    def __init__(self, stack: List[Span], span: Span) -> None:
+        self._stack = stack
+        self._span = span
+
+    def __enter__(self) -> Span:
+        self._stack.append(self._span)
+        return self._span
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self._stack.pop()
+
+
 class Tracer:
     """Allocates, activates, and stores spans for one run."""
 
@@ -142,18 +161,13 @@ class Tracer:
         span.end = self.now if end is None else end
         return span
 
-    @contextmanager
-    def activate(self, span: Span) -> Iterator[Span]:
-        """Make ``span`` the current span for the duration of the block.
+    def activate(self, span: Span) -> "_Activation":
+        """Make ``span`` the current span for the duration of a ``with`` block.
 
         Only valid around *synchronous* code: never hold an activation
         across a DES ``yield``.
         """
-        self._stack.append(span)
-        try:
-            yield span
-        finally:
-            self._stack.pop()
+        return _Activation(self._stack, span)
 
     @contextmanager
     def span(

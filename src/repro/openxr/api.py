@@ -29,8 +29,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.core.switchboard import Switchboard
-from repro.maths.quaternion import quat_exp, quat_multiply
-from repro.maths.se3 import Pose
+from repro.maths.se3 import Pose, extrapolate_pose
 from repro.plugins.visual import SubmittedFrame
 
 
@@ -145,24 +144,16 @@ class Session:
             head = Pose(np.array([0.0, 0.0, 1.7]))
         else:
             head = latest.data
-            horizon = display_time - latest.effective_data_time
             previous = topic.get_latest_before(latest.publish_time - 1e-9)
-            if horizon > 0 and previous is not None and previous.data is not None:
-                dt = latest.effective_data_time - previous.effective_data_time
-                if dt > 1e-6:
-                    # Angular velocity from the last two poses.
-                    from repro.maths.quaternion import quat_conjugate, quat_log
-
-                    delta = quat_multiply(
-                        quat_conjugate(previous.data.orientation), head.orientation
-                    )
-                    omega = quat_log(delta) / dt
-                    velocity = (head.position - previous.data.position) / dt
-                    head = Pose(
-                        position=head.position + velocity * horizon,
-                        orientation=quat_multiply(head.orientation, quat_exp(omega * horizon)),
-                        timestamp=head.timestamp,
-                    )
+            if previous is not None and previous.data is not None:
+                # Velocities from the last two poses.
+                head = extrapolate_pose(
+                    head,
+                    latest.effective_data_time,
+                    previous.data,
+                    previous.effective_data_time,
+                    display_time - latest.effective_data_time,
+                )
         half_ipd = self.ipd_m / 2.0
         views = []
         for eye, sign in (("left", +1.0), ("right", -1.0)):

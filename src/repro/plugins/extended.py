@@ -16,7 +16,7 @@ components at full rate.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -68,7 +68,6 @@ class SceneReconstructionPlugin(Plugin):
     name = "scene_reconstruction"
     component = "scene_reconstruction"
     pipeline = "perception"
-    uses_gpu = True
 
     def __init__(
         self,
@@ -111,7 +110,6 @@ class EyeTrackingPlugin(Plugin):
     name = "eye_tracking"
     component = "eye_tracking"
     pipeline = "perception"
-    uses_gpu = True
 
     def __init__(
         self,
@@ -153,7 +151,6 @@ class HologramPlugin(Plugin):
     name = "hologram"
     component = "hologram"
     pipeline = "visual"
-    uses_gpu = True
 
     def __init__(
         self,
@@ -193,22 +190,15 @@ def build_extended_runtime(
 ):
     """An integrated system with all eleven components (the paper's full
     Fig. 1 workflow), demonstrating plug-in extensibility."""
-    from repro.core.runtime import Runtime, build_runtime
+    from repro.core.runtime import build_runtime
 
-    base = build_runtime(platform, app_name, config)
-    config = base.config
-    depth_camera = DepthCameraPlugin(config, base.trajectory)
-    extra: List[Plugin] = [
+    runtime = build_runtime(platform, app_name, config)
+    config = runtime.config
+    depth_camera = DepthCameraPlugin(config, runtime.trajectory)
+    runtime.plugins += [
         depth_camera,
         SceneReconstructionPlugin(config, depth_camera.camera),
         EyeTrackingPlugin(config),
         HologramPlugin(config),
     ]
-    return Runtime(
-        base.platform,
-        config,
-        app_name,
-        base.plugins + extra,
-        base.trajectory,
-        timing=base.timing,
-    )
+    return runtime

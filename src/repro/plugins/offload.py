@@ -156,25 +156,21 @@ def build_offloaded_runtime(
     :func:`repro.core.runtime.build_runtime` -- the swap exercises the
     modularity §II-B claims.
     """
-    from repro.core.runtime import Runtime, build_runtime
+    from repro.core.runtime import build_runtime
     from repro.plugins.perception import VioPlugin
 
-    base = build_runtime(platform, app_name, config)
-    plugins = []
-    for plugin in base.plugins:
-        if isinstance(plugin, VioPlugin):
-            plugins.append(
-                OffloadedVioPlugin(
-                    base.config,
-                    plugin.camera,
-                    plugin.trajectory,
-                    remote_platform=remote_platform,
-                    link=link,
-                    msckf_config=plugin.msckf_config,
-                )
-            )
-        else:
-            plugins.append(plugin)
-    return Runtime(
-        base.platform, base.config, app_name, plugins, base.trajectory, timing=base.timing
-    )
+    runtime = build_runtime(platform, app_name, config)
+    runtime.plugins = [
+        OffloadedVioPlugin(
+            runtime.config,
+            plugin.camera,
+            plugin.trajectory,
+            remote_platform=remote_platform,
+            link=link,
+            msckf_config=plugin.msckf_config,
+        )
+        if isinstance(plugin, VioPlugin)
+        else plugin
+        for plugin in runtime.plugins
+    ]
+    return runtime

@@ -16,6 +16,7 @@ from repro.maths.se3 import Pose
 from repro.maths.splines import TrajectorySpline
 from repro.perception.integrator import IntegratorState, Rk4Integrator
 from repro.perception.vio.msckf import Msckf, MsckfConfig, VioEstimate
+from repro.resilience.supervisor import SUPERVISION_TOPIC, SupervisionEvent
 from repro.sensors.camera import StereoCamera
 from repro.sensors.imu import ImuModel, ImuSample
 
@@ -237,7 +238,7 @@ class IntegratorPlugin(Plugin):
             ):
                 self._vio_down = True
 
-        switchboard.topic("supervision").subscribe_callback(on_supervision)
+        switchboard.topic(SUPERVISION_TOPIC).subscribe_callback(on_supervision)
 
     def iteration(self, ctx: InvocationContext) -> IterationResult:
         result = IterationResult()
@@ -279,10 +280,8 @@ class IntegratorPlugin(Plugin):
             # Degradation policy: VIO is quarantined; announce that the
             # fast path is running IMU-only from here on.
             self._announced_fallback = True
-            from repro.resilience.supervisor import SupervisionEvent
-
             result.publish(
-                "supervision",
+                SUPERVISION_TOPIC,
                 SupervisionEvent(
                     time=ctx.now,
                     plugin=self.name,

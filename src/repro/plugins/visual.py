@@ -16,9 +16,10 @@ import numpy as np
 
 from repro.core.config import SystemConfig
 from repro.core.plugin import InvocationContext, IterationResult, OnVsync, Periodic, Plugin
-from repro.core.scheduler import CompletionInfo
-from repro.maths.se3 import Pose
+from repro.core.records import InvocationRecord
+from repro.maths.se3 import Pose, extrapolate_pose
 from repro.metrics.mtp import MtpSample
+from repro.resilience.supervisor import SUPERVISION_TOPIC, SupervisionEvent
 from repro.visual.renderer import Renderer
 from repro.visual.scenes import Scene
 
@@ -67,7 +68,6 @@ class ApplicationPlugin(Plugin):
     name = "application"
     component = "application"
     pipeline = "application"
-    uses_gpu = True
 
     def __init__(self, config: SystemConfig, scene: Scene) -> None:
         super().__init__(Periodic(config.vsync_period))
@@ -116,7 +116,6 @@ class TimewarpPlugin(Plugin):
     name = "timewarp"
     component = "timewarp"
     pipeline = "visual"
-    uses_gpu = True
     # Compositor runs in a high-priority GPU context (lower = higher).
     gpu_priority = -1
 
@@ -138,27 +137,20 @@ class TimewarpPlugin(Plugin):
         """Constant-velocity pose prediction over ``horizon`` seconds
         (footnote 3: reproject based on the pose predicted for when the
         frame will actually be displayed)."""
-        from repro.maths.quaternion import quat_conjugate, quat_exp, quat_log, quat_multiply
-
         # Differentiate over a ~10 ms baseline: consecutive 2 ms samples
         # give a velocity estimate whose noise swamps the prediction gain
         # (the misprediction risk footnote 6 warns about).
         previous = pose_topic.get_latest_before(latest.publish_time - 8e-3)
         if previous is None or previous.data is None:
             previous = pose_topic.get_latest_before(latest.publish_time - 1e-9)
-        if horizon <= 0 or previous is None or previous.data is None:
+        if previous is None or previous.data is None:
             return latest.data
-        dt = latest.effective_data_time - previous.effective_data_time
-        if dt <= 1e-6:
-            return latest.data
-        head: Pose = latest.data
-        delta = quat_multiply(quat_conjugate(previous.data.orientation), head.orientation)
-        omega = quat_log(delta) / dt
-        velocity = (head.position - previous.data.position) / dt
-        return Pose(
-            position=head.position + velocity * horizon,
-            orientation=quat_multiply(head.orientation, quat_exp(omega * horizon)),
-            timestamp=head.timestamp,
+        return extrapolate_pose(
+            latest.data,
+            latest.effective_data_time,
+            previous.data,
+            previous.effective_data_time,
+            horizon,
         )
 
     def iteration(self, ctx: InvocationContext) -> IterationResult:
@@ -188,10 +180,8 @@ class TimewarpPlugin(Plugin):
             self.stale_frame_count += 1
             if not self._announced_stale:
                 self._announced_stale = True
-                from repro.resilience.supervisor import SupervisionEvent
-
                 result.publish(
-                    "supervision",
+                    SUPERVISION_TOPIC,
                     SupervisionEvent(
                         time=ctx.now,
                         plugin=self.name,
@@ -212,23 +202,23 @@ class TimewarpPlugin(Plugin):
             self.obs.annotate(imu_age=imu_age, stale_frame=stale)
         return result
 
-    def on_complete(self, info: CompletionInfo) -> None:
+    def on_complete(self, record: InvocationRecord, swap_time: float) -> None:
         """Scheduler hook: close out the MTP sample at buffer submission."""
         if self._pending is None:
             return
         pending = self._pending
         self._pending = None
         sample = MtpSample(
-            frame_time=info.swap_time,
+            frame_time=swap_time,
             imu_age=pending["imu_age"],
-            reprojection_time=info.end - info.start,
-            swap_wait=max(info.swap_time - info.end, 0.0),
+            reprojection_time=record.end - record.start,
+            swap_wait=max(swap_time - record.end, 0.0),
             stale_frame=pending.get("stale", False),
         )
         self.mtp_samples.append(sample)
         self.display_events.append(
             DisplayEvent(
-                submit_time=info.swap_time,
+                submit_time=swap_time,
                 frame_pose=pending["frame_pose"],
                 warp_pose=pending["warp_pose"],
                 imu_age=pending["imu_age"],

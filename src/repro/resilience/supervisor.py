@@ -12,8 +12,8 @@ invocation it observes one of three outcomes:
   deadline kills the stuck invocation (releasing its CPU/GPU slots).
 
 ``max_consecutive_failures`` crashes/hangs in a row quarantine the
-plugin: its driver stops, and a quarantine event is published on the
-``supervision`` topic so degradation policies can react (e.g. the
+plugin: its driver stops, and a quarantine event is published on
+:data:`SUPERVISION_TOPIC` so degradation policies can react (e.g. the
 integrator falls back to IMU-only propagation when VIO is quarantined).
 
 State machine per plugin::
@@ -26,8 +26,20 @@ State machine per plugin::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
+
+#: Quarantine notices from the supervisor and degradation notices from
+#: plugins; the integrator falls back to IMU-only propagation when it sees
+#: VIO quarantined here.
+SUPERVISION_TOPIC = "supervision"
+#: Poison trigger events, routed here instead of killing their reader.
+DEAD_LETTER_TOPIC = "dead_letter"
+#: Every lifecycle event (crash, hang, retry, quarantine, dead_letter,
+#: degraded), so traced chaos runs show the supervisor's actions on their
+#: own lane (see repro.obs).
+OBSERVABILITY_TOPIC = "sys/observability"
 
 
 @dataclass(frozen=True)
@@ -41,23 +53,22 @@ class SupervisorConfig:
     backoff_max: float = 0.25            # backoff ceiling
     watchdog_factor: float = 4.0         # hang threshold, in units of the deadline
     watchdog_default: float = 0.25       # hang threshold for deadline-less plugins
-    dead_letter: bool = True             # route poison events instead of dropping them
-    dead_letter_topic: str = "dead_letter"
-    supervision_topic: str = "supervision"
-    # Every lifecycle event (crash, hang, retry, quarantine, dead_letter,
-    # degraded) is also delivered here so traced chaos runs show the
-    # supervisor's actions on their own lane (see repro.obs).
-    observability_topic: str = "sys/observability"
 
     def __post_init__(self) -> None:
         if self.max_consecutive_failures < 1:
             raise ValueError("max_consecutive_failures must be >= 1")
         if self.max_retries_per_invocation < 0:
             raise ValueError("max_retries_per_invocation must be >= 0")
-        if self.backoff_initial <= 0 or self.backoff_max < self.backoff_initial:
-            raise ValueError("backoff window must satisfy 0 < initial <= max")
-        if self.watchdog_factor <= 1.0:
-            raise ValueError("watchdog_factor must exceed 1.0")
+        if not 0 < self.backoff_initial <= self.backoff_max < math.inf:
+            raise ValueError("backoff window must satisfy 0 < initial <= max < inf")
+        if not 1 <= self.backoff_factor < math.inf:
+            raise ValueError(f"backoff_factor must be finite and >= 1, got {self.backoff_factor}")
+        if not 1 < self.watchdog_factor < math.inf:
+            raise ValueError(f"watchdog_factor must be finite and exceed 1.0, got {self.watchdog_factor}")
+        if not 0 < self.watchdog_default < math.inf:
+            raise ValueError(
+                f"watchdog_default must be finite and positive, got {self.watchdog_default}"
+            )
 
 
 @dataclass(frozen=True)
@@ -95,6 +106,8 @@ class RuntimeSupervisor:
     """Aggregates per-plugin health and implements the supervision policy."""
 
     def __init__(self, config: Optional[SupervisorConfig] = None) -> None:
+        if config is not None and not isinstance(config, SupervisorConfig):
+            raise TypeError(f"supervision takes a SupervisorConfig, got {config!r}")
         self.config = config or SupervisorConfig()
         self.health: Dict[str, PluginHealth] = {}
         self.events: List[SupervisionEvent] = []
@@ -116,7 +129,7 @@ class RuntimeSupervisor:
             if isinstance(notice, SupervisionEvent) and notice.kind == "degraded":
                 self._emit(notice)
 
-        switchboard.topic(self.config.supervision_topic).subscribe_callback(collect)
+        switchboard.topic(SUPERVISION_TOPIC).subscribe_callback(collect)
 
     def _emit(self, event: SupervisionEvent) -> None:
         """Ledger the event and route it onto the observability topic.
@@ -127,9 +140,7 @@ class RuntimeSupervisor:
         """
         self.events.append(event)
         if self._switchboard is not None:
-            self._switchboard.topic(self.config.observability_topic).deliver(
-                event.time, event
-            )
+            self._switchboard.topic(OBSERVABILITY_TOPIC).deliver(event.time, event)
 
     # ------------------------------------------------------------------
     # Outcome handlers (called by the scheduler)
@@ -185,8 +196,8 @@ class RuntimeSupervisor:
         entry = self.plugin_health(name)
         entry.dead_letters += 1
         self._emit(SupervisionEvent(time, name, "dead_letter", repr(exc)))
-        if self.config.dead_letter and self._switchboard is not None:
-            topic = self._switchboard.topic(self.config.dead_letter_topic)
+        if self._switchboard is not None:
+            topic = self._switchboard.topic(DEAD_LETTER_TOPIC)
             topic.deliver(time, event, data_time=getattr(event, "effective_data_time", None))
 
     def _quarantine(self, name: str, time: float) -> None:
@@ -198,7 +209,7 @@ class RuntimeSupervisor:
         notice = SupervisionEvent(time, name, "quarantine", f"after {entry.consecutive_failures} consecutive failures")
         self._emit(notice)
         if self._switchboard is not None:
-            self._switchboard.topic(self.config.supervision_topic).deliver(time, notice)
+            self._switchboard.topic(SUPERVISION_TOPIC).deliver(time, notice)
 
     # ------------------------------------------------------------------
 

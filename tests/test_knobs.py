@@ -98,5 +98,8 @@ def test_dilation_propagates_to_end_to_end_metrics():
 
 
 def test_dilation_validation():
-    with pytest.raises(ValueError):
-        _dilated_run({"vio": 0.0})
+    # Rejected when the runtime is built: an infinite factor would starve
+    # VIO silently, a NaN one raise mid-run.
+    for factor in (0.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            _dilated_run({"vio": factor})

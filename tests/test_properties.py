@@ -192,3 +192,115 @@ def test_pose_relative_compose_roundtrip(position, rotvec):
     recovered = reference.compose(relative)
     assert recovered.translation_error(pose) < 1e-9
     assert recovered.rotation_error(pose) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Whole-run scheduler properties
+# ---------------------------------------------------------------------------
+
+# A supervised run can stop on a known supervisor defect: a plugin's
+# degraded notice is re-delivered on sys/observability at the notice's
+# own (earlier) time (perfbench/README.md, "Known defect kept out of the
+# workloads"; the strict xfail
+# perfbench/tests/test_perfbench.py::test_supervised_jetson_chaos_run_completes
+# reproduces it).  A run that stops on it has no whole-run properties to
+# check, so the example is rejected; any other exception fails the test.
+_SUPERVISOR_DEFECT = "topic 'sys/observability': non-monotonic publish time"
+
+
+@st.composite
+def _whole_runs(draw):
+    """(platform, app, fidelity, seed, duration, plan) of a short traced run;
+    model fidelity four times in five, and a plan that is None, a canned
+    plan's name or a ``random_fault_plan`` seed."""
+    from repro.hardware.platform import PLATFORMS
+    from repro.resilience import CANNED_PLANS
+    from repro.visual.scenes import APPLICATION_ORDER
+
+    fidelity = draw(st.sampled_from(("model", "model", "model", "model", "full")))
+    return (
+        draw(st.sampled_from(sorted(PLATFORMS))),
+        draw(st.sampled_from(APPLICATION_ORDER)),
+        fidelity,
+        draw(st.integers(0, 10_000)),
+        draw(st.sampled_from((0.5, 1.0))) if fidelity == "model" else 0.5,
+        draw(st.one_of(st.none(), st.sampled_from(sorted(CANNED_PLANS)), st.integers(0, 10_000))),
+    )
+
+
+def _run_whole(platform, app, fidelity, seed, duration, plan):
+    """Build and run one drawn configuration (rejecting the example if the
+    run stopped on the known supervisor defect)."""
+    from hypothesis import assume
+
+    from repro.core.config import SystemConfig
+    from repro.core.runtime import build_runtime
+    from repro.hardware.platform import PLATFORMS
+    from repro.resilience import CANNED_PLANS, SupervisorConfig, random_fault_plan
+
+    if plan is None:
+        fault_plan = None
+    elif isinstance(plan, str):
+        fault_plan = CANNED_PLANS[plan](seed)
+    else:
+        fault_plan = random_fault_plan(plan)
+    runtime = build_runtime(
+        PLATFORMS[platform],
+        app,
+        SystemConfig(duration_s=duration, fidelity=fidelity, seed=seed),
+        fault_plan=fault_plan,
+        supervision=SupervisorConfig() if fault_plan is not None else None,
+        observability=True,
+    )
+    try:
+        result = runtime.run()
+    except ValueError as exc:
+        if _SUPERVISOR_DEFECT not in str(exc):
+            raise
+        assume(False)
+    return runtime, result
+
+
+@settings(max_examples=30, deadline=None)
+@given(_whole_runs())
+def test_whole_run_invocations_never_overlap(drawn):
+    """A plugin runs one invocation at a time: each starts no earlier
+    than the previous one (completed or killed) ended."""
+    runtime, result = _run_whole(*drawn)
+    for plugin in runtime.plugins:
+        records = sorted(result.logger.for_plugin(plugin.name), key=lambda r: r.start)
+        for earlier, later in zip(records, records[1:]):
+            assert later.start >= earlier.end, (plugin.name, earlier, later)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_whole_runs())
+def test_whole_run_every_trigger_is_accounted_for(drawn):
+    """Each trigger of a plugin that was not quarantined started exactly
+    one invocation (one span on its track, skipped or not) or logged one
+    drop.  A clock-driven plugin triggers at ``k * period - lead`` within
+    the run (``Periodic`` from k = 0 with lead 0, ``OnVsync`` from k = 1);
+    an ``OnTopic`` plugin on every delivery of its topic."""
+    from repro.core.plugin import OnTopic, OnVsync
+
+    runtime, result = _run_whole(*drawn)
+    duration = drawn[4]
+    quarantined = set(result.supervision["quarantined"]) if result.supervision else set()
+    invocations = {}
+    for span in result.observability.tracer.spans:
+        if span.kind == "invocation":
+            invocations[span.track] = invocations.get(span.track, 0) + 1
+    for plugin in runtime.plugins:
+        if plugin.name in quarantined:
+            continue
+        trigger = plugin.trigger
+        if isinstance(trigger, OnTopic):
+            triggers = runtime.switchboard.topic(trigger.topic).count
+        else:
+            lead, tick = (trigger.lead, 1) if isinstance(trigger, OnVsync) else (0.0, 0)
+            triggers = 0
+            while tick * trigger.period - lead <= duration:
+                triggers += 1
+                tick += 1
+        accounted = invocations.get(plugin.name, 0) + result.logger.drop_count(plugin.name)
+        assert accounted == triggers, (plugin.name, accounted, triggers)

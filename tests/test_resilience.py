@@ -193,12 +193,35 @@ def test_supervisor_backoff_is_exponential_and_capped():
 
 
 def test_supervisor_config_validation():
-    with pytest.raises(ValueError):
-        SupervisorConfig(max_consecutive_failures=0)
-    with pytest.raises(ValueError):
-        SupervisorConfig(watchdog_factor=0.5)
-    with pytest.raises(ValueError):
-        SupervisorConfig(backoff_initial=0.1, backoff_max=0.01)
+    invalid = [
+        {"max_consecutive_failures": 0},
+        {"watchdog_factor": 0.5},
+        {"backoff_initial": 0.1, "backoff_max": 0.01},
+        # Each below used to be accepted and failed only at run time (a
+        # zero watchdog killed every VIO invocation, a NaN one raised from
+        # the engine mid-run) or never (an infinite watchdog never fires).
+        {"watchdog_default": 0.0},
+        {"watchdog_default": -1.0},
+        {"watchdog_default": math.nan},
+        {"watchdog_default": math.inf},
+        {"watchdog_factor": math.nan},
+        {"watchdog_factor": math.inf},
+        {"backoff_initial": math.nan},
+        {"backoff_max": math.nan},
+        {"backoff_max": math.inf},
+        {"backoff_initial": math.inf, "backoff_max": math.inf},
+        {"backoff_factor": 0.5},
+        {"backoff_factor": math.nan},
+        {"backoff_factor": math.inf},
+    ]
+    for fields in invalid:
+        with pytest.raises(ValueError):
+            SupervisorConfig(**fields)
+
+
+def test_supervision_takes_a_config_only():
+    with pytest.raises(TypeError):
+        build_runtime(DESKTOP, "platformer", supervision=RuntimeSupervisor())
 
 
 # ---------------------------------------------------------------------------

@@ -189,7 +189,6 @@ def test_cpu_contention_serializes_on_one_core():
 def test_gpu_quantum_on_jetson_scales_with_cost():
     engine, _sb, logger, scheduler = _scheduler(JETSON_LP, cpu_time=0.001, gpu_time=0.05)
     plugin = CountingPlugin(Periodic(0.1))
-    plugin.uses_gpu = True
     scheduler.add_plugin(plugin)
     engine.run(until=0.5)
     assert scheduler.gpu.busy_time() > 0.1
@@ -200,8 +199,8 @@ def test_on_complete_hook_invoked():
     completions = []
 
     class Hooked(CountingPlugin):
-        def on_complete(self, info):
-            completions.append((info.start, info.end, info.swap_time))
+        def on_complete(self, record, swap_time):
+            completions.append((record.start, record.end, swap_time))
 
     plugin = Hooked(Periodic(0.01))
     scheduler.add_plugin(plugin)
