@@ -13,14 +13,9 @@ from repro.analysis.experiments import vio_accuracy_ablation
 from repro.analysis.report import render_ablation
 
 
-def test_vio_accuracy_vs_cost(benchmark):
+def test_vio_accuracy_vs_cost():
     standard, high = vio_accuracy_ablation(duration_s=15.0)
     save_report("ablation_vio_params", render_ablation(standard, high))
-
-    def quick_ablation():
-        return vio_accuracy_ablation(duration_s=2.0)
-
-    benchmark.pedantic(quick_ablation, rounds=1, iterations=1)
 
     # Accuracy improves substantially...
     assert high.ate_cm < 0.75 * standard.ate_cm

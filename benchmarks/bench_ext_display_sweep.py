@@ -14,7 +14,7 @@ from repro.core.runtime import build_runtime
 from repro.hardware.platform import JETSON_HP
 
 
-def test_ext_display_sweep(benchmark):
+def test_ext_display_sweep():
     settings = [
         ("720p", 90.0),
         ("1080p", 90.0),
@@ -37,12 +37,6 @@ def test_ext_display_sweep(benchmark):
             f"{measured[-1][1]:8.1f} {mtp:8.1f}"
         )
     save_report("ext_display_sweep", "\n".join(rows))
-
-    def quick_run():
-        config = SystemConfig(duration_s=1.0, fidelity="model", display_resolution="720p")
-        return build_runtime(JETSON_HP, "sponza", config).run()
-
-    benchmark.pedantic(quick_run, rounds=3, iterations=1)
 
     app_rates = [m[0] for m in measured]
     mtps = [m[2] for m in measured]

@@ -12,7 +12,7 @@ from conftest import save_report
 from repro.analysis.experiments import offload_comparison
 
 
-def test_ext_offloading(benchmark):
+def test_ext_offloading():
     comparison = offload_comparison(duration_s=4.0)
     text = (
         "Extension (§II fn.2): VIO local vs offloaded (Jetson-LP -> desktop)\n"
@@ -26,14 +26,6 @@ def test_ext_offloading(benchmark):
         f"mean round trip: {comparison.mean_round_trip_ms:.1f} ms"
     )
     save_report("ext_offloading", text)
-
-    import numpy as np
-
-    from repro.plugins.offload import NetworkLink
-
-    link = NetworkLink()
-    rng = np.random.default_rng(0)
-    benchmark(lambda: link.uplink_time(8192, rng))
 
     assert comparison.offloaded_vio_rate_hz > comparison.local_vio_rate_hz
     assert comparison.offloaded_vio_cpu_share < 0.3 * comparison.local_vio_cpu_share

@@ -41,7 +41,7 @@ def _evaluate(filter_class, dataset):
     return float(np.mean(errors)) * 100, float(np.mean(frame_times)) * 1e3
 
 
-def test_ext_vio_alternatives(benchmark):
+def test_ext_vio_alternatives():
     dataset = make_vicon_room_dataset(duration=12.0, seed=1)
     msckf_ate, msckf_ms = _evaluate(Msckf, dataset)
     ekf_ate, ekf_ms = _evaluate(EkfSlamVio, dataset)
@@ -52,9 +52,6 @@ def test_ext_vio_alternatives(benchmark):
         f"{'MSCKF':12s} {msckf_ate:9.1f} {msckf_ms:9.1f}\n"
         f"{'EKF-SLAM':12s} {ekf_ate:9.1f} {ekf_ms:9.1f}",
     )
-
-    short = make_vicon_room_dataset(duration=2.0, seed=2)
-    benchmark.pedantic(lambda: _evaluate(EkfSlamVio, short), rounds=2, iterations=1)
 
     # Both alternatives track: centimetre-level, no divergence.
     assert msckf_ate < 12.0

@@ -3,23 +3,17 @@
 Expected shape (paper §IV-A1): the desktop meets essentially all targets
 except the application on Sponza/Materials; Jetson-HP degrades the visual
 pipeline on complex apps; Jetson-LP misses everything except audio.
-The benchmark times a short integrated run (the unit of all Fig. 3 data).
 """
 
 from conftest import save_report
 
-from repro.analysis.experiments import FIG3_TARGETS, run_integrated
+from repro.analysis.experiments import FIG3_TARGETS
 from repro.analysis.report import render_fig3
 
 
-def test_fig3_framerates(grid_runs, benchmark):
+def test_fig3_framerates(grid_runs):
     text = render_fig3(grid_runs)
     save_report("fig3_framerates", text)
-
-    def one_cell():
-        return run_integrated("desktop", "ar_demo", duration_s=1.0, fidelity="model")
-
-    benchmark(one_cell)
 
     by_cell = {(r.platform.key, r.app_name): r.frame_rates() for r in grid_runs}
     # Desktop meets perception/audio targets on every app.

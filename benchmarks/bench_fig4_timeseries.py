@@ -3,24 +3,18 @@
 Expected shape: VIO ~12 ms with visible input-dependent variability; the
 application mid-single-digit ms; everything else <= ~2 ms; every component
 shows nonzero variance (contention), VIO the most (§IV-A1).
-The benchmark times the execution-time sampling path.
 """
 
 import numpy as np
 from conftest import save_report
 
 from repro.analysis.report import render_fig4
-from repro.hardware.platform import DESKTOP
-from repro.hardware.timing import TimingModel
 
 
-def test_fig4_timeseries(platformer_runs, benchmark):
+def test_fig4_timeseries(platformer_runs):
     desktop = next(r for r in platformer_runs if r.platform.key == "desktop")
     text = render_fig4(desktop)
     save_report("fig4_timeseries", text)
-
-    timing = TimingModel(DESKTOP, seed=0)
-    benchmark(lambda: timing.sample("vio", complexity=1.1))
 
     logger = desktop.result.logger
     vio_times = np.asarray(logger.execution_times("vio"))

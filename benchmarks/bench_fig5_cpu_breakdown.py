@@ -11,14 +11,9 @@ from conftest import save_report
 from repro.analysis.report import render_fig5
 
 
-def test_fig5_cpu_breakdown(grid_runs, benchmark):
+def test_fig5_cpu_breakdown(grid_runs):
     text = render_fig5(grid_runs)
     save_report("fig5_cpu_breakdown", text)
-
-    desktop_sponza = next(
-        r for r in grid_runs if r.platform.key == "desktop" and r.app_name == "sponza"
-    )
-    benchmark(desktop_sponza.result.logger.cpu_share)
 
     for run in grid_runs:
         shares = run.cpu_share()

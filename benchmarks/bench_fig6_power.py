@@ -9,16 +9,11 @@ computing and system-level power work.
 from conftest import save_report
 
 from repro.analysis.report import render_fig6
-from repro.hardware.platform import JETSON_LP
-from repro.hardware.power import PowerModel
 
 
-def test_fig6_power(grid_runs, benchmark):
+def test_fig6_power(grid_runs):
     text = render_fig6(grid_runs)
     save_report("fig6_power", text)
-
-    model = PowerModel(JETSON_LP)
-    benchmark(lambda: model.breakdown(cpu_utilization=0.2, gpu_utilization=0.8))
 
     ideal_ar_power = 0.15
     for run in grid_runs:

@@ -8,15 +8,11 @@ import numpy as np
 from conftest import save_report
 
 from repro.analysis.report import render_fig7
-from repro.metrics.mtp import summarize_mtp
 
 
-def test_fig7_mtp_timeline(platformer_runs, benchmark):
+def test_fig7_mtp_timeline(platformer_runs):
     text = render_fig7(platformer_runs)
     save_report("fig7_mtp_platformer", text)
-
-    desktop = next(r for r in platformer_runs if r.platform.key == "desktop")
-    benchmark(lambda: summarize_mtp(desktop.result.mtp_samples))
 
     series = {
         r.platform.key: np.array([s.total_ms for s in r.result.mtp_samples])

@@ -12,11 +12,11 @@ from repro.analysis.report import render_fig8
 from repro.hardware.uarch import component_breakdowns
 
 
-def test_fig8_uarch(benchmark):
+def test_fig8_uarch():
     text = render_fig8()
     save_report("fig8_microarchitecture", text)
 
-    breakdowns = benchmark(component_breakdowns)
+    breakdowns = component_breakdowns()
 
     paper_ipc = {
         "vio": 2.2,

@@ -11,14 +11,13 @@ from repro.analysis.report import render_table4
 from repro.hardware.platform import TARGET_MTP_AR_MS, TARGET_MTP_VR_MS
 
 
-def test_table4_mtp(grid_runs, benchmark):
+def test_table4_mtp(grid_runs):
     text = render_table4(grid_runs)
     save_report("table4_mtp", text)
 
     summaries = {
         (r.platform.key, r.app_name): r.result.mtp_summary() for r in grid_runs
     }
-    benchmark(lambda: grid_runs[0].result.mtp_summary())
 
     # Desktop: meets the VR target on virtually all frames, for all apps.
     for app in ("sponza", "materials", "platformer", "ar_demo"):

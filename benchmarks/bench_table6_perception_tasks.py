@@ -1,10 +1,12 @@
 """Table VI: task breakdowns of VIO and scene reconstruction (measured).
 
 Expected shape: VIO has no dominant task (the paper's most diverse
-component: 7 tasks, largest ~23%); scene reconstruction splits across its
-five stages with pose estimation + surfel prediction + fusion carrying
-most of the time; reconstruction per-frame time grows with map size
-(§IV-B1).  Benchmarks time one VIO frame and one reconstruction frame.
+component: 7 tasks, largest ~23%) and its per-frame time varies with the
+input; scene reconstruction splits across its five stages with pose
+estimation + surfel prediction + fusion carrying most of the time
+(§IV-B1).  The paper's reconstruction frame time grows with the map; at
+the sizes run here it does not (EXPERIMENTS.md, Table VI), so the bench
+only bounds how much faster the last frames may run than the first ones.
 """
 
 from conftest import save_report
@@ -13,83 +15,31 @@ from repro.analysis.report import render_task_breakdown
 from repro.analysis.standalone import characterize_reconstruction, characterize_vio
 
 
-def test_table6_vio_tasks(benchmark):
+def test_table6_vio_tasks():
     breakdown = characterize_vio(duration_s=10.0)
     save_report("table6_vio_tasks", render_task_breakdown(breakdown))
 
-    # Benchmark one steady-state VIO frame (IMU window + visual update).
-    from repro.perception.vio.msckf import Msckf, MsckfConfig
-    from repro.sensors.dataset import make_vicon_room_dataset
-
-    dataset = make_vicon_room_dataset(duration=6.0, seed=2)
-    vio = Msckf(
-        MsckfConfig.standard(),
-        dataset.camera.intrinsics,
-        dataset.camera.baseline_m,
-        dataset.ground_truth(0.0),
-        initial_velocity=dataset.trajectory.sample(0.0).velocity,
-    )
-    t_last = 0.0
-    frames = iter(dataset.camera_frames)
-    # Warm up the window.
-    for _ in range(15):
-        frame = next(frames)
-        for sample in dataset.imu_between(t_last, frame.timestamp):
-            vio.process_imu(sample)
-        t_last = frame.timestamp
-        vio.process_frame(frame)
-
-    state = {"t": t_last, "frames": frames}
-
-    def one_frame():
-        try:
-            frame = next(state["frames"])
-        except StopIteration:
-            state["frames"] = iter(dataset.camera_frames[15:])
-            frame = next(state["frames"])
-            vio.state.timestamp = frame.timestamp - 1e-3
-        for sample in dataset.imu_between(state["t"], frame.timestamp):
-            vio.process_imu(sample)
-        state["t"] = frame.timestamp
-        return vio.process_frame(frame)
-
-    benchmark.pedantic(one_frame, rounds=20, iterations=1)
-
     shares = breakdown.shares()
     # No single task dominates (the paper's Amdahl argument, §IV-B1):
-    # the largest VIO task is well under half the total.
+    # the largest VIO task stays under 60% of the total.
     largest = max(shares.values())
     assert largest < 0.6
     assert sum(1 for v in shares.values() if v > 0.05) >= 4
     assert breakdown.extras["ate_cm"] < 15.0
+    # Per-frame time depends on the input (paper: 17-26% CoV).
+    assert breakdown.extras["frame_time_cov"] > 0.05
 
 
-def test_table6_reconstruction_tasks(benchmark):
+def test_table6_reconstruction_tasks():
     breakdown = characterize_reconstruction(frames=24)
     save_report("table6_reconstruction_tasks", render_task_breakdown(breakdown))
-
-    from repro.maths.se3 import Pose
-    from repro.perception.reconstruction.pipeline import ReconstructionPipeline
-    from repro.sensors.depth import DepthCamera, DepthScene
-    from repro.sensors.trajectory import lab_walk_trajectory
-
-    camera = DepthCamera(DepthScene.default(), width=64, height=48)
-    pipeline = ReconstructionPipeline(camera)
-    trajectory = lab_walk_trajectory(duration=30.0, seed=5)
-    state = {"i": 0}
-
-    def one_frame():
-        t = 0.25 * state["i"]
-        state["i"] += 1
-        sample = trajectory.sample(t)
-        pose = Pose(sample.position, sample.orientation, timestamp=t)
-        return pipeline.process_frame(camera.render(pose), pose)
-
-    benchmark.pedantic(one_frame, rounds=12, iterations=1)
 
     shares = breakdown.shares()
     heavy = shares["pose_estimation"] + shares["surfel_prediction"] + shares["map_fusion"]
     assert heavy > 0.7
     assert shares["camera_processing"] < 0.3
-    # Frame time grows as the map grows (§IV-B1).
+    # The last frames run at least 0.6x as long as the first ones.  The
+    # raycast, not the map, sets the frame time here, and early frames
+    # march more rays through unobserved space, so the ratio sits below 1:
+    # the bar bounds that shrinkage and does not show growth.
     assert breakdown.extras["frame_time_growth"] > 0.6

@@ -1,9 +1,10 @@
-"""Shared benchmark fixtures.
+"""Shared fixtures of the paper evaluation.
 
-The heavyweight experiment runs happen once per session in fixtures; the
-``benchmark()`` calls then time representative kernels.  Every bench also
-renders its table/figure to ``results/`` (and the terminal via ``-s``),
-mirroring the paper artifact's ``results/Graphs`` outputs.
+``pytest benchmarks/`` regenerates every table and figure: each bench
+renders its report to ``results/`` (and the terminal via ``-s``),
+mirroring the paper artifact's ``results/Graphs`` outputs, and asserts the
+paper's shape on it.  The integrated grid runs once per session, in a
+fixture.  The repository benchmark, which times runs, is ``perfbench/``.
 """
 
 import os

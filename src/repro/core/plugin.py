@@ -150,13 +150,6 @@ class Plugin:
         from a clean slate; the default keeps everything.
         """
 
-    @property
-    def deadline(self) -> Optional[float]:
-        """The per-invocation deadline implied by the trigger, if periodic."""
-        if isinstance(self.trigger, (Periodic, OnVsync)):
-            return self.trigger.period
-        return None
-
     def describe(self) -> Tuple[str, str, str]:
         """(name, pipeline, component) -- used for Table II style reports."""
         return (self.name, self.pipeline, self.component)

@@ -13,8 +13,9 @@ here, per-frame time does not grow with the map: the raycast sets most of
 it, and early frames march more rays through unobserved space, so later
 frames cost the same or less (``frame_time_growth`` 0.5-0.9, EXPERIMENTS.md
 Table VI).  Loop-closure re-integrations spike it, the behaviour §IV-B1
-reports for ElasticFusion: a closure frame costs several times the median
-frame (``tests/test_loop_closure.py``).
+reports for ElasticFusion: a closure frame fuses every stored keyframe
+and itself twice, ``len(keyframes) + 2`` TSDF integrations where any other
+frame runs one (``tests/test_loop_closure.py``).
 """
 
 from __future__ import annotations

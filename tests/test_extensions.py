@@ -1,6 +1,6 @@
 """Tests for the paper's documented extensions: offloading (§II fn. 2),
 trace record/replay (§V.G), pose prediction (fn. 3), exposure sweep
-(§V.C), the extended plugins, and the analysis CLI."""
+(§V.C) and the extended plugins."""
 
 import os
 
@@ -296,36 +296,3 @@ def test_offload_comparison_structure():
     assert comparison.offloaded_vio_rate_hz >= comparison.local_vio_rate_hz
     assert comparison.offloaded_vio_cpu_share < comparison.local_vio_cpu_share
     assert comparison.mean_round_trip_ms > 5.0
-
-
-# ---------------------------------------------------------------------------
-# Analysis CLI
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.slow
-def test_analysis_cli_static_tables_only(tmp_path, monkeypatch, capsys):
-    """Exercise the CLI argument parsing + static-table path cheaply by
-    running the full quick pipeline on a tiny grid via monkeypatching."""
-    import repro.analysis.main as main_module
-
-    def tiny_matrix(duration_s, fidelity, seed):
-        from repro.analysis.experiments import run_matrix
-
-        return run_matrix(
-            duration_s=1.0, fidelity="full",
-            platforms=["desktop", "jetson-hp", "jetson-lp"],
-            apps=["sponza", "platformer"], seed=seed,
-        )
-
-    monkeypatch.setattr(main_module, "run_matrix", tiny_matrix)
-    monkeypatch.setattr(
-        main_module, "vio_accuracy_ablation",
-        lambda duration_s: __import__("repro.analysis.experiments", fromlist=["x"]).vio_accuracy_ablation(duration_s=2.0),
-    )
-    out = os.path.join(tmp_path, "reports")
-    code = main_module.main(["--quick", "--out", out])
-    assert code == 0
-    written = set(os.listdir(out))
-    assert {"table1_requirements.txt", "fig3_framerates.txt", "table4_mtp.txt",
-            "table5_image_quality.txt", "ablation_vio_params.txt"} <= written

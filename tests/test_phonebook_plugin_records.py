@@ -68,13 +68,22 @@ def test_onvsync_lead_must_fit_period():
 
 
 def test_plugin_deadline_from_trigger():
-    class P(Plugin):
-        def iteration(self, ctx):
-            return IterationResult()
+    """Records carry the trigger's deadline: the period for ``Periodic``,
+    the lead for ``OnVsync`` (finishing later misses the vsync), none for
+    ``OnTopic``."""
+    from tests.test_scheduler import CountingPlugin, _scheduler
 
-    assert P(Periodic(0.5)).deadline == 0.5
-    assert P(OnTopic("x")).deadline is None
-    assert P(OnVsync(period=0.1, lead=0.05)).deadline == 0.1
+    engine, _sb, logger, scheduler = _scheduler()
+    for name, plugin in {
+        "periodic": CountingPlugin(Periodic(0.5), publish_to="x"),
+        "topic": CountingPlugin(OnTopic("x")),
+        "vsync": CountingPlugin(OnVsync(period=0.1, lead=0.05)),
+    }.items():
+        plugin.name = name
+        scheduler.add_plugin(plugin)
+    engine.run(until=1.0)
+    assert {(r.plugin, r.deadline) for r in logger.records} == {
+        ("periodic", 0.5), ("topic", None), ("vsync", 0.05)}
 
 
 def test_iteration_result_publish_queues_outputs():

@@ -304,3 +304,19 @@ def test_whole_run_every_trigger_is_accounted_for(drawn):
                 tick += 1
         accounted = invocations.get(plugin.name, 0) + result.logger.drop_count(plugin.name)
         assert accounted == triggers, (plugin.name, accounted, triggers)
+
+
+@settings(max_examples=20, deadline=None)
+@given(_whole_runs())
+def test_whole_run_records_carry_the_trigger_deadline(drawn):
+    """Each record carries its trigger's deadline: the period for
+    ``Periodic``, the lead for ``OnVsync``, none for ``OnTopic``."""
+    from repro.core.plugin import OnTopic, OnVsync
+
+    runtime, result = _run_whole(*drawn)
+    for plugin in runtime.plugins:
+        trigger = plugin.trigger
+        deadline = None if isinstance(trigger, OnTopic) else trigger.period
+        if isinstance(trigger, OnVsync):
+            deadline = trigger.lead
+        assert {r.deadline for r in result.logger.for_plugin(plugin.name)} <= {deadline}, plugin.name
