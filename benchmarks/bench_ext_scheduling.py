@@ -56,9 +56,9 @@ def test_ext_temporal_smoothness(grid_runs):
         if run.app_name != "sponza":
             continue
         quality = temporal_quality(
-            run.result.display_events,
-            run.result.mtp_samples,
-            run.result.config.vsync_period,
+            run.display_events,
+            run.mtp_samples,
+            run.config.vsync_period,
         )
         by_platform[run.platform.key] = quality
         rows.append(

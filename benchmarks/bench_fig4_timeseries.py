@@ -16,7 +16,7 @@ def test_fig4_timeseries(platformer_runs):
     text = render_fig4(desktop)
     save_report("fig4_timeseries", text)
 
-    logger = desktop.result.logger
+    logger = desktop.logger
     vio_times = np.asarray(logger.execution_times("vio"))
     app_times = np.asarray(logger.execution_times("application"))
     camera_times = np.asarray(logger.execution_times("camera"))

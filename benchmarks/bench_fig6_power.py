@@ -17,18 +17,18 @@ def test_fig6_power(grid_runs):
 
     ideal_ar_power = 0.15
     for run in grid_runs:
-        total = run.result.power.total
+        total = run.power.total
         if run.platform.key == "desktop":
             assert total / ideal_ar_power > 500       # ~3 orders of magnitude
-            assert run.result.power.share()["GPU"] > 0.5
+            assert run.power.share()["GPU"] > 0.5
         elif run.platform.key == "jetson-lp":
             assert 30 < total / ideal_ar_power < 120  # ~2 orders
-            shares = run.result.power.share()
+            shares = run.power.share()
             assert shares["SoC"] + shares["Sys"] > 0.45
     # Power ordering: desktop >> HP > LP for every app.
     for app in ("sponza", "platformer"):
         by_platform = {
-            r.platform.key: r.result.power.total
+            r.platform.key: r.power.total
             for r in grid_runs
             if r.app_name == app
         }

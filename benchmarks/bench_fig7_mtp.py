@@ -15,7 +15,7 @@ def test_fig7_mtp_timeline(platformer_runs):
     save_report("fig7_mtp_platformer", text)
 
     series = {
-        r.platform.key: np.array([s.total_ms for s in r.result.mtp_samples])
+        r.platform.key: np.array([s.total_ms for s in r.mtp_samples])
         for r in platformer_runs
     }
     assert series["desktop"].mean() < 5.0

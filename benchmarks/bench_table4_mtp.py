@@ -16,7 +16,7 @@ def test_table4_mtp(grid_runs):
     save_report("table4_mtp", text)
 
     summaries = {
-        (r.platform.key, r.app_name): r.result.mtp_summary() for r in grid_runs
+        (r.platform.key, r.app_name): r.mtp_summary() for r in grid_runs
     }
 
     # Desktop: meets the VR target on virtually all frames, for all apps.

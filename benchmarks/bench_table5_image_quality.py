@@ -16,7 +16,7 @@ from repro.metrics.qoe import evaluate_image_quality
 def test_table5_image_quality(sponza_runs):
     results = {}
     for run in sorted(sponza_runs, key=lambda r: r.platform.cpu_scale):
-        results[run.platform.key] = evaluate_image_quality(run.result, max_frames=12)
+        results[run.platform.key] = evaluate_image_quality(run, max_frames=12)
     text = render_table5(results)
     save_report("table5_image_quality", text)
 

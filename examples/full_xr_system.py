@@ -13,8 +13,6 @@ Usage::
 
 import sys
 
-import numpy as np
-
 from repro.core.config import SystemConfig
 from repro.hardware.platform import DESKTOP
 from repro.perception.reconstruction.surface import extract_surfels, surface_error_vs_scene
@@ -53,13 +51,10 @@ def main() -> None:
     else:
         print("Surfel map empty (run longer to accumulate depth frames).")
 
-    if result.vio_trajectory:
-        errors = [
-            est.pose.translation_error(result.ground_truth(est.timestamp))
-            for _, est in result.vio_trajectory
-        ]
-        print(f"VIO: mean position error {np.mean(errors) * 100:.1f} cm "
-              f"over {len(errors)} estimates")
+    ate = result.vio_ate()
+    if ate is not None:
+        print(f"VIO: mean position error {ate.mean_m * 100:.1f} cm "
+              f"over {ate.count} estimates")
     mtp = result.mtp_summary()
     print(f"MTP: {mtp.mean_ms:.1f} +- {mtp.std_ms:.1f} ms; "
           f"power {result.power.total:.0f} W")

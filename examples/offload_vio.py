@@ -45,13 +45,9 @@ def main() -> None:
         import numpy as np
 
         rtt = np.mean(plugin.round_trips) * 1e3 if plugin.round_trips else float("nan")
-        errors = [
-            est.pose.translation_error(result.ground_truth(est.timestamp))
-            for _, est in result.vio_trajectory
-        ]
         print(f"  one-way {latency_ms:5.1f} ms: rtt {rtt:6.1f} ms, "
               f"VIO rate {result.frame_rate('vio'):5.1f} Hz, "
-              f"ATE {np.mean(errors) * 100:5.1f} cm")
+              f"ATE {result.vio_ate().mean_m * 100:5.1f} cm")
     print("\nAt high latency the pose anchor goes stale and the IMU "
           "integrator must bridge longer gaps -- the §II trade-off.")
 

@@ -16,8 +16,6 @@ Usage::
 
 import sys
 
-import numpy as np
-
 from repro import PLATFORMS, SystemConfig, build_runtime
 from repro.analysis.experiments import FIG3_TARGETS
 
@@ -53,12 +51,9 @@ def main() -> None:
     print(f"Power: {result.power.total:.1f} W total "
           f"({', '.join(f'{k} {v:.1f}' for k, v in result.power.rails.items())})")
 
-    if result.vio_trajectory:
-        errors = [
-            est.pose.translation_error(result.ground_truth(est.timestamp))
-            for _, est in result.vio_trajectory
-        ]
-        print(f"VIO: {len(errors)} estimates, mean position error {np.mean(errors) * 100:.1f} cm")
+    ate = result.vio_ate()
+    if ate is not None:
+        print(f"VIO: {ate.count} estimates, mean position error {ate.mean_m * 100:.1f} cm")
 
 
 if __name__ == "__main__":

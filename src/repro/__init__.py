@@ -50,7 +50,6 @@ _EXPORTS = {
     "APPLICATIONS": ("repro.visual.scenes", "APPLICATIONS"),
     "build_extended_runtime": ("repro.plugins.extended", "build_extended_runtime"),
     "build_offloaded_runtime": ("repro.plugins.offload", "build_offloaded_runtime"),
-    "run_integrated": ("repro.analysis.experiments", "run_integrated"),
     "run_matrix": ("repro.analysis.experiments", "run_matrix"),
     "evaluate_image_quality": ("repro.metrics.qoe", "evaluate_image_quality"),
     "FaultPlan": ("repro.resilience.faults", "FaultPlan"),

@@ -8,12 +8,7 @@
   figure the paper reports.
 """
 
-from repro.analysis.experiments import (
-    IntegratedRun,
-    run_integrated,
-    run_matrix,
-    vio_accuracy_ablation,
-)
+from repro.analysis.experiments import run_matrix, vio_accuracy_ablation
 from repro.analysis.standalone import (
     characterize_audio,
     characterize_eye_tracking,
@@ -24,14 +19,12 @@ from repro.analysis.standalone import (
 )
 
 __all__ = [
-    "IntegratedRun",
     "characterize_audio",
     "characterize_eye_tracking",
     "characterize_hologram",
     "characterize_reconstruction",
     "characterize_reprojection",
     "characterize_vio",
-    "run_integrated",
     "run_matrix",
     "vio_accuracy_ablation",
 ]

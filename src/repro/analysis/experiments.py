@@ -8,7 +8,6 @@ qualitative result.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -16,8 +15,7 @@ import numpy as np
 
 from repro.core.config import SystemConfig
 from repro.core.runtime import RuntimeResult, build_runtime
-from repro.hardware.platform import PLATFORMS, Platform
-from repro.metrics.trajectory import TrajectoryError, absolute_trajectory_error
+from repro.hardware.platform import PLATFORMS
 from repro.visual.scenes import APPLICATION_ORDER
 
 # Target rates per component graph of Fig. 3 (the y-axis caps).
@@ -33,69 +31,18 @@ FIG3_TARGETS: Dict[str, float] = {
 }
 
 
-@dataclass
-class IntegratedRun:
-    """One cell of the experiment grid with derived metrics."""
-
-    platform: Platform
-    app_name: str
-    result: RuntimeResult
-    wall_seconds: float
-
-    def frame_rates(self) -> Dict[str, float]:
-        """Fig. 3 data for this cell."""
-        return self.result.frame_rates()
-
-    def cpu_share(self) -> Dict[str, float]:
-        """Fig. 5 data for this cell."""
-        return self.result.cpu_share()
-
-    def vio_ate(self) -> Optional[TrajectoryError]:
-        """ATE of the VIO trajectory, when the run carried real poses."""
-        trajectory = self.result.vio_trajectory
-        if not trajectory:
-            return None
-        estimates = [est.pose for _, est in trajectory]
-        truths = [self.result.ground_truth(est.timestamp) for _, est in trajectory]
-        return absolute_trajectory_error(estimates, truths)
-
-
-def run_integrated(
-    platform_key: str,
-    app_name: str,
-    duration_s: float = 30.0,
-    fidelity: str = "full",
-    seed: int = 0,
-) -> IntegratedRun:
-    """Run one (platform, application) cell."""
-    platform = PLATFORMS[platform_key]
-    config = SystemConfig(duration_s=duration_s, fidelity=fidelity, seed=seed)
-    runtime = build_runtime(platform, app_name, config)
-    start = time.perf_counter()
-    result = runtime.run()
-    return IntegratedRun(
-        platform=platform,
-        app_name=app_name,
-        result=result,
-        wall_seconds=time.perf_counter() - start,
-    )
-
-
 def run_matrix(
     duration_s: float = 30.0,
     fidelity: str = "full",
     platforms: Optional[Iterable[str]] = None,
     apps: Optional[Iterable[str]] = None,
     seed: int = 0,
-) -> List[IntegratedRun]:
-    """The full 3x4 grid (or a subset)."""
+) -> List[RuntimeResult]:
+    """The full 3x4 grid (or a subset), one run per (platform, app) cell."""
     platforms = list(platforms) if platforms is not None else list(PLATFORMS)
     apps = list(apps) if apps is not None else list(APPLICATION_ORDER)
-    return [
-        run_integrated(p, a, duration_s=duration_s, fidelity=fidelity, seed=seed)
-        for p in platforms
-        for a in apps
-    ]
+    config = SystemConfig(duration_s=duration_s, fidelity=fidelity, seed=seed)
+    return [build_runtime(PLATFORMS[p], a, config).run() for p in platforms for a in apps]
 
 
 # ---------------------------------------------------------------------------
@@ -136,41 +83,22 @@ def vio_accuracy_ablation(
     # regime where extra tracked features buy real accuracy.
     dataset = make_vicon_room_dataset(duration=duration_s, seed=seed, exposure_ms=0.25)
     qualities = ("standard", "high")
-    filters = []
-    for quality in qualities:
-        base = MsckfConfig.high_accuracy() if quality == "high" else MsckfConfig.standard()
-        config = replace(base, pixel_sigma=dataset.camera.pixel_noise)
-        filters.append(
-            Msckf(
-                config,
-                dataset.camera.intrinsics,
-                dataset.camera.baseline_m,
-                dataset.ground_truth(0.0),
-                initial_velocity=dataset.trajectory.sample(0.0).velocity,
+    filters = [
+        dataset.start_vio(Msckf, replace(base, pixel_sigma=dataset.camera.pixel_noise))
+        for base in (MsckfConfig.standard(), MsckfConfig.high_accuracy())
+    ]
+    lockstep = zip(*(dataset.replay(vio) for vio in filters))
+    results = []
+    for quality, frames in zip(qualities, zip(*lockstep)):
+        errors, frame_times = zip(*frames)
+        results.append(
+            VioAblationResult(
+                quality=quality,
+                ate_cm=float(np.mean(errors)) * 100.0,
+                mean_frame_time_ms=float(np.mean(frame_times)) * 1e3,
+                frames=len(frame_times),
             )
         )
-    frame_times: List[List[float]] = [[] for _ in qualities]
-    errors: List[List[float]] = [[] for _ in qualities]
-    t_last = 0.0
-    for frame in dataset.camera_frames:
-        samples = dataset.imu_between(t_last, frame.timestamp)
-        t_last = frame.timestamp
-        for vio, times, errs in zip(filters, frame_times, errors):
-            for sample in samples:
-                vio.process_imu(sample)
-            t0 = time.perf_counter()
-            estimate = vio.process_frame(frame)
-            times.append(time.perf_counter() - t0)
-            errs.append(estimate.pose.translation_error(dataset.ground_truth(frame.timestamp)))
-    results = [
-        VioAblationResult(
-            quality=quality,
-            ate_cm=float(np.mean(errs)) * 100.0,
-            mean_frame_time_ms=float(np.mean(times)) * 1e3,
-            frames=len(times),
-        )
-        for quality, times, errs in zip(qualities, frame_times, errors)
-    ]
     return (results[0], results[1])
 
 
@@ -211,23 +139,8 @@ def camera_exposure_sweep(
         config = dc_replace(
             MsckfConfig.standard(), pixel_sigma=max(dataset.camera.pixel_noise, 0.3)
         )
-        vio = Msckf(
-            config,
-            dataset.camera.intrinsics,
-            dataset.camera.baseline_m,
-            dataset.ground_truth(0.0),
-            initial_velocity=dataset.trajectory.sample(0.0).velocity,
-        )
-        t_last = 0.0
-        errors = []
-        for frame in dataset.camera_frames:
-            for sample in dataset.imu_between(t_last, frame.timestamp):
-                vio.process_imu(sample)
-            t_last = frame.timestamp
-            estimate = vio.process_frame(frame)
-            errors.append(
-                estimate.pose.translation_error(dataset.ground_truth(frame.timestamp))
-            )
+        vio = dataset.start_vio(Msckf, config)
+        errors = [error for error, _seconds in dataset.replay(vio)]
         points.append(
             ExposurePoint(
                 exposure_ms=exposure,
@@ -265,7 +178,6 @@ def offload_comparison(
     seed: int = 0,
 ) -> OffloadComparison:
     """Run the same system with local vs desktop-offloaded VIO."""
-    from repro.core.runtime import build_runtime
     from repro.plugins.offload import OffloadedVioPlugin, build_offloaded_runtime
 
     config = SystemConfig(duration_s=duration_s, fidelity="full", seed=seed)
@@ -279,12 +191,9 @@ def offload_comparison(
         p for p in remote_runtime.plugins if isinstance(p, OffloadedVioPlugin)
     )
 
-    def ate_cm(result) -> float:
-        errors = [
-            est.pose.translation_error(result.ground_truth(est.timestamp))
-            for _, est in result.vio_trajectory
-        ]
-        return float(np.mean(errors)) * 100.0 if errors else float("nan")
+    def ate_cm(result: RuntimeResult) -> float:
+        ate = result.vio_ate()
+        return ate.mean_m * 100.0 if ate is not None else float("nan")
 
     return OffloadComparison(
         local_vio_rate_hz=local.frame_rate("vio"),

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Sequence
 
-from repro.analysis.experiments import FIG3_TARGETS, IntegratedRun, VioAblationResult
+from repro.analysis.experiments import FIG3_TARGETS, VioAblationResult
 from repro.analysis.standalone import TaskBreakdown
 from repro.core.config import TABLE_III_PARAMETERS
 from repro.core.registry import COMPONENT_REGISTRY
+from repro.core.runtime import RuntimeResult
 from repro.hardware.platform import TABLE_I_REQUIREMENTS
 from repro.hardware.uarch import component_breakdowns
 from repro.metrics.qoe import ImageQualityResult
@@ -79,7 +80,7 @@ def render_table3() -> str:
     )
 
 
-def render_fig3(runs: List[IntegratedRun]) -> str:
+def render_fig3(runs: List[RuntimeResult]) -> str:
     """Fig. 3: per-component frame rates per app per platform."""
     lines = ["Fig. 3: achieved frame rate (Hz) vs target"]
     platforms = sorted({r.platform.key for r in runs})
@@ -99,12 +100,12 @@ def render_fig3(runs: List[IntegratedRun]) -> str:
     return "\n".join(lines)
 
 
-def render_fig4(run: IntegratedRun, max_points: int = 12) -> str:
+def render_fig4(run: RuntimeResult, max_points: int = 12) -> str:
     """Fig. 4: per-frame execution times (a textual timeline excerpt)."""
     lines = [f"Fig. 4: per-frame execution time (ms), {run.app_name} on {run.platform.key}"]
     for plugin in ("vio", "application", "camera", "integrator", "timewarp",
                    "audio_playback", "audio_encoding"):
-        times = run.result.logger.execution_times(plugin)
+        times = run.logger.execution_times(plugin)
         if not times:
             continue
         sampled = times[:: max(1, len(times) // max_points)][:max_points]
@@ -115,7 +116,7 @@ def render_fig4(run: IntegratedRun, max_points: int = 12) -> str:
     return "\n".join(lines)
 
 
-def render_fig5(runs: List[IntegratedRun]) -> str:
+def render_fig5(runs: List[RuntimeResult]) -> str:
     """Fig. 5: CPU-cycle attribution per component."""
     lines = ["Fig. 5: CPU time share per component (%)"]
     components = ["camera", "vio", "imu", "integrator", "application",
@@ -130,12 +131,12 @@ def render_fig5(runs: List[IntegratedRun]) -> str:
     return lines[0] + "\n" + _table(["cell"] + components, rows)
 
 
-def render_fig6(runs: List[IntegratedRun]) -> str:
+def render_fig6(runs: List[RuntimeResult]) -> str:
     """Fig. 6: total power and per-rail breakdown."""
     lines = ["Fig. 6a/6b: power (W) and rail shares (%)"]
     rows = []
     for run in runs:
-        power = run.result.power
+        power = run.power
         shares = power.share()
         rows.append(
             [
@@ -149,11 +150,11 @@ def render_fig6(runs: List[IntegratedRun]) -> str:
     )
 
 
-def render_fig7(runs: List[IntegratedRun], max_points: int = 16) -> str:
+def render_fig7(runs: List[RuntimeResult], max_points: int = 16) -> str:
     """Fig. 7: per-frame MTP timeline for one app on all platforms."""
     lines = ["Fig. 7: motion-to-photon latency per frame (ms)"]
     for run in runs:
-        samples = run.result.mtp_samples
+        samples = run.mtp_samples
         if not samples:
             continue
         series = samples[:: max(1, len(samples) // max_points)][:max_points]
@@ -181,7 +182,7 @@ def render_fig8() -> str:
     )
 
 
-def render_table4(runs: List[IntegratedRun]) -> str:
+def render_table4(runs: List[RuntimeResult]) -> str:
     """Table IV: MTP mean +- std per platform per app."""
     platforms = sorted({r.platform.key for r in runs})
     apps = []
@@ -196,7 +197,7 @@ def render_table4(runs: List[IntegratedRun]) -> str:
             if run is None:
                 row.append("-")
             else:
-                summary = run.result.mtp_summary()
+                summary = run.mtp_summary()
                 row.append(f"{summary.mean_ms:.1f}+-{summary.std_ms:.1f}")
         rows.append(row)
     return "Table IV: MTP (ms, mean+-std; VR target 20, AR target 5)\n" + _table(

@@ -34,31 +34,14 @@ class TaskBreakdown:
         return {k: v / total for k, v in self.task_seconds.items()}
 
 
-def characterize_vio(duration_s: float = 15.0, seed: int = 1, quality: str = "standard") -> TaskBreakdown:
+def characterize_vio(duration_s: float = 15.0, seed: int = 1) -> TaskBreakdown:
     """VIO on the Vicon-Room-like dataset (Table VI, upper half)."""
     from repro.perception.vio.msckf import Msckf, MsckfConfig
     from repro.sensors.dataset import make_vicon_room_dataset
 
     dataset = make_vicon_room_dataset(duration=duration_s, seed=seed)
-    config = MsckfConfig.high_accuracy() if quality == "high" else MsckfConfig.standard()
-    vio = Msckf(
-        config,
-        dataset.camera.intrinsics,
-        dataset.camera.baseline_m,
-        dataset.ground_truth(0.0),
-        initial_velocity=dataset.trajectory.sample(0.0).velocity,
-    )
-    t_last = 0.0
-    frame_times: List[float] = []
-    errors: List[float] = []
-    for frame in dataset.camera_frames:
-        for sample in dataset.imu_between(t_last, frame.timestamp):
-            vio.process_imu(sample)
-        t_last = frame.timestamp
-        t0 = time.perf_counter()
-        estimate = vio.process_frame(frame)
-        frame_times.append(time.perf_counter() - t0)
-        errors.append(estimate.pose.translation_error(dataset.ground_truth(frame.timestamp)))
+    vio = dataset.start_vio(Msckf, MsckfConfig.standard())
+    errors, frame_times = zip(*dataset.replay(vio))
     return TaskBreakdown(
         component="vio",
         task_seconds=vio.task_breakdown(),

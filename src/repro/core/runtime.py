@@ -30,6 +30,7 @@ from repro.hardware.timing import TimingModel
 from repro.maths.se3 import Pose
 from repro.maths.splines import TrajectorySpline
 from repro.metrics.mtp import MtpSample, MtpSummary, summarize_mtp
+from repro.metrics.trajectory import TrajectoryError
 from repro.perception.vio.msckf import VioEstimate
 from repro.perf import profile
 from repro.plugins.audio import AudioEncodingPlugin, AudioPlaybackPlugin
@@ -86,6 +87,20 @@ class RuntimeResult:
         """The true head pose at virtual time ``t``."""
         sample = self.trajectory.sample(t)
         return Pose(sample.position, sample.orientation, timestamp=t)
+
+    def vio_errors(self) -> List[float]:
+        """Position error (m) of each VIO estimate, in publish order,
+        against the true pose at the estimate's timestamp."""
+        return [
+            est.pose.translation_error(self.ground_truth(est.timestamp))
+            for _, est in self.vio_trajectory
+        ]
+
+    def vio_ate(self) -> Optional[TrajectoryError]:
+        """ATE of the VIO estimates; None when the run has none (model
+        fidelity, or a VIO that never produced a pose)."""
+        errors = self.vio_errors()
+        return TrajectoryError.from_errors(errors) if errors else None
 
     def summary(self) -> Dict[str, object]:
         """A JSON-serializable metrics snapshot (the paper artifact's
@@ -324,7 +339,7 @@ def build_runtime(
     # inside the vsync period (footnote 5 of the paper).
     queue_margin = 0.2e-3 if platform.gpu_priority_contexts else 1.0e-3
     lead = min(
-        timing.percentile("timewarp", 0.90) * 1.15 + queue_margin,
+        timing.p90("timewarp") * 1.15 + queue_margin,
         config.vsync_period * 0.9,
     )
     plugins: List[Plugin] = [

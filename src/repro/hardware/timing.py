@@ -27,76 +27,9 @@ import numpy as np
 from repro.hardware.platform import Platform
 
 
-# Cephes ndtri: the rational approximations behind scipy.special.ndtri,
-# and so behind scipy.stats.norm.ppf.  Coefficients from highest degree.
-# Cephes leaves the Q polynomials' leading 1 implied (p1evl); it is written
-# out here, and since 1.0 * x is exact, Horner's rule rounds the same.
-_SQRT_2PI = 2.50662827463100050242e0
-_EXP_MINUS_2 = 0.13533528323661269189
-# |q - 0.5| <= 3/8
-_P0 = (
-    -5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
-    1.39312609387279679503e1, -1.23916583867381258016e0,
-)
-_Q0 = (
-    1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
-    -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
-    1.59056225126211695515e1, -1.18331621121330003142e0,
-)
-# z = sqrt(-2 log q) in [2, 8)
-_P1 = (
-    4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
-    4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
-    -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4,
-)
-_Q1 = (
-    1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
-    1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
-    -3.80806407691578277194e-2, -9.33259480895457427372e-4,
-)
-# z in [8, 64)
-_P2 = (
-    3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
-    1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
-    3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9,
-)
-_Q2 = (
-    1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
-    2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
-    2.89247864745380683936e-6, 6.79019408009981274425e-9,
-)
-
-
-def _polevl(x: float, coefficients: Tuple[float, ...]) -> float:
-    """The polynomial at ``x`` by Horner's rule, cephes polevl's rounding order."""
-    value = coefficients[0]
-    for c in coefficients[1:]:
-        value = value * x + c
-    return value
-
-
-def normal_quantile(q: float) -> float:
-    """Inverse standard normal CDF for q in (0, 1), as cephes ``ndtri``.
-
-    Same branches, constants and operation order, so the value is the
-    double ``scipy.stats.norm.ppf(q)`` returns.
-    """
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"q must be in (0, 1): {q}")
-    y, upper = q, q > 1.0 - _EXP_MINUS_2
-    if upper:
-        y = 1.0 - y
-    if y > _EXP_MINUS_2:
-        y = y - 0.5
-        y2 = y * y
-        x = y + y * (y2 * _polevl(y2, _P0) / _polevl(y2, _Q0))
-        return x * _SQRT_2PI
-    x = math.sqrt(-2.0 * math.log(y))
-    x0 = x - math.log(x) / x
-    z = 1.0 / x
-    p, r = (_P1, _Q1) if x < 8.0 else (_P2, _Q2)
-    x = x0 - z * _polevl(z, p) / _polevl(z, r)
-    return x if upper else -x
+#: The standard normal's 0.9-quantile: the double ``scipy.stats.norm.ppf(0.9)``
+#: returns (cephes ndtri).
+NORMAL_P90 = 1.2815515655446004
 
 
 @dataclass(frozen=True)
@@ -292,18 +225,15 @@ class TimingModel:
         )
         return CostSample(cpu_time, gpu_time)
 
-    def percentile(
-        self, component: str, q: float, app: Optional[str] = None
-    ) -> float:
-        """Analytic ``q``-quantile (0-1) of the total-cost distribution.
+    def p90(self, component: str, app: Optional[str] = None) -> float:
+        """Analytic 90th percentile of the total-cost distribution.
 
-        Used by the scheduler to choose the vsync lead time for
-        reprojection ("scheduled as late as possible", footnote 5).
+        Used to choose the vsync lead time for reprojection ("scheduled
+        as late as possible", footnote 5).
         """
-        z = normal_quantile(q)
         _rng, cpu_mean, gpu_mean, half_sigma2, sigma = self._lognormal(component, app)
         total = 0.0
         for mean in (cpu_mean, gpu_mean):
             if mean > 0:
-                total += math.exp(math.log(mean) - half_sigma2 + sigma * z)
+                total += math.exp(math.log(mean) - half_sigma2 + sigma * NORMAL_P90)
         return total

@@ -108,14 +108,6 @@ def audio_bitrate_kbps(channels: int = 16, sample_rate_hz: int = 48000, bits: in
 def pose_error_series(
     result: RuntimeResult,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """(times, translation errors) of the VIO estimates against truth."""
-    if not result.vio_trajectory:
-        return np.array([]), np.array([])
+    """(publish times, translation errors) of the VIO estimates against truth."""
     times = np.array([t for t, _ in result.vio_trajectory])
-    errors = np.array(
-        [
-            est.pose.translation_error(result.ground_truth(est.timestamp))
-            for _, est in result.vio_trajectory
-        ]
-    )
-    return times, errors
+    return times, np.array(result.vio_errors())

@@ -25,6 +25,18 @@ class TrajectoryError:
     max_m: float
     count: int
 
+    @classmethod
+    def from_errors(cls, errors: Sequence[float]) -> "TrajectoryError":
+        """The summary of a non-empty sequence of per-pose errors (m)."""
+        errors = np.asarray(errors)
+        return cls(
+            rmse_m=float(np.sqrt((errors**2).mean())),
+            mean_m=float(errors.mean()),
+            median_m=float(np.median(errors)),
+            max_m=float(errors.max()),
+            count=len(errors),
+        )
+
 
 def _paired_errors(
     estimates: Sequence[Pose], ground_truth: Sequence[Pose]
@@ -43,14 +55,7 @@ def absolute_trajectory_error(
 ) -> TrajectoryError:
     """ATE over paired pose sequences (no alignment: VIO shares the
     ground-truth origin by initialization, as in our experiments)."""
-    errors = np.asarray(_paired_errors(estimates, ground_truth))
-    return TrajectoryError(
-        rmse_m=float(np.sqrt((errors**2).mean())),
-        mean_m=float(errors.mean()),
-        median_m=float(np.median(errors)),
-        max_m=float(errors.max()),
-        count=len(errors),
-    )
+    return TrajectoryError.from_errors(_paired_errors(estimates, ground_truth))
 
 
 def relative_pose_error(
@@ -70,14 +75,7 @@ def relative_pose_error(
         est_delta = estimates[i + window].relative_to(estimates[i])
         gt_delta = ground_truth[i + window].relative_to(ground_truth[i])
         errors.append(float(np.linalg.norm(est_delta.position - gt_delta.position)))
-    arr = np.asarray(errors)
-    return TrajectoryError(
-        rmse_m=float(np.sqrt((arr**2).mean())),
-        mean_m=float(arr.mean()),
-        median_m=float(np.median(arr)),
-        max_m=float(arr.max()),
-        count=len(arr),
-    )
+    return TrajectoryError.from_errors(errors)
 
 
 def align_origins(

@@ -24,10 +24,10 @@ and unlike the online metric each frame also *names* its slowest edge.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
+from repro.metrics.mtp import MtpSample, summarize_mtp
 from repro.obs.tracer import Span, SpanLink, Tracer
 
 SEGMENTS = ("imu_age", "reprojection", "swap")
@@ -130,20 +130,20 @@ def decomposition_summary(frames: Sequence[FrameCriticalPath]) -> Dict[str, obje
     """Table IV from traces alone, plus per-segment attribution."""
     if not frames:
         return {"count": 0}
-    totals = sorted(f.total_ms for f in frames)
-    n = len(totals)
-    mean = sum(totals) / n
-    std = math.sqrt(sum((t - mean) ** 2 for t in totals) / n)
+    n = len(frames)
+    mtp = summarize_mtp(
+        [MtpSample(f.frame_time, f.imu_age, f.reprojection, f.swap) for f in frames]
+    )
     segment_means = {
         seg: sum(getattr(f, seg) for f in frames) / n * 1e3 for seg in SEGMENTS
     }
     slowest_counts = {seg: sum(1 for f in frames if f.slowest == seg) for seg in SEGMENTS}
     return {
         "count": n,
-        "mean_ms": mean,
-        "std_ms": std,
-        "p99_ms": totals[min(int(0.99 * n), n - 1)],
-        "max_ms": totals[-1],
+        "mean_ms": mtp.mean_ms,
+        "std_ms": mtp.std_ms,
+        "p99_ms": mtp.p99_ms,
+        "max_ms": mtp.max_ms,
         "segment_mean_ms": segment_means,
         "slowest_edge_counts": slowest_counts,
         "slowest_edge": max(slowest_counts, key=slowest_counts.__getitem__),

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -31,10 +30,10 @@ class AudioEncodingPlugin(Plugin):
     component = "audio_encoding"
     pipeline = "audio"
 
-    def __init__(self, config: SystemConfig, encoder: Optional[AudioEncoder] = None) -> None:
+    def __init__(self, config: SystemConfig) -> None:
         super().__init__(Periodic(config.audio_period))
         self.config = config
-        self.encoder = encoder or AudioEncoder(
+        self.encoder = AudioEncoder(
             [SpeechLikeSource(), MusicLikeSource()], block_size=config.audio_block_size
         )
 
@@ -55,10 +54,10 @@ class AudioPlaybackPlugin(Plugin):
     component = "audio_playback"
     pipeline = "audio"
 
-    def __init__(self, config: SystemConfig, playback: Optional[AudioPlayback] = None) -> None:
+    def __init__(self, config: SystemConfig) -> None:
         super().__init__(Periodic(config.audio_period))
         self.config = config
-        self.playback = playback or AudioPlayback(block_size=config.audio_block_size)
+        self.playback = AudioPlayback(block_size=config.audio_block_size)
         self.blocks_rendered = 0
 
     def iteration(self, ctx: InvocationContext) -> IterationResult:

@@ -8,10 +8,11 @@ are nevertheless full ILLIXR components, and this module wires them into
 the runtime to demonstrate the plugin architecture's extensibility --
 ``build_extended_runtime`` boots a system with all eleven plugins.
 
-To keep integrated runs fast, the real algorithms execute on a stride
-(every ``real_every`` invocations); every invocation still charges its
-modeled platform cost, so the timing/power picture includes the extended
-components at full rate.
+To keep integrated runs fast, eye tracking and hologram run their real
+algorithms on a stride (every ``EYE_TRACKING_STRIDE``-th and
+``HOLOGRAM_STRIDE``-th invocation); scene reconstruction fuses every depth
+frame.  Every invocation still charges its modeled platform cost, so the
+timing/power picture includes the extended components at full rate.
 """
 
 from __future__ import annotations
@@ -30,6 +31,16 @@ from repro.sensors.depth import DepthCamera, DepthScene
 from repro.sensors.eye import EyeImageGenerator
 from repro.visual.hologram import WeightedGerchbergSaxton
 
+# Rates, problem sizes and real-algorithm strides of the extended components.
+DEPTH_RATE_HZ = 5.0
+EYE_TRACKING_RATE_HZ = 30.0
+EYE_TRACKING_STRIDE = 2
+#: Training steps the eye tracker takes at boot (full fidelity only).
+EYE_TRACKER_TRAIN_STEPS = 60
+HOLOGRAM_RESOLUTION = 64
+HOLOGRAM_ITERATIONS = 3
+HOLOGRAM_STRIDE = 30
+
 
 class DepthCameraPlugin(Plugin):
     """Publishes depth frames for scene reconstruction (ZED depth mode)."""
@@ -38,17 +49,11 @@ class DepthCameraPlugin(Plugin):
     component = "camera"
     pipeline = "perception"
 
-    def __init__(
-        self,
-        config: SystemConfig,
-        trajectory: TrajectorySpline,
-        camera: Optional[DepthCamera] = None,
-        rate_hz: float = 5.0,
-    ) -> None:
-        super().__init__(Periodic(1.0 / rate_hz))
+    def __init__(self, config: SystemConfig, trajectory: TrajectorySpline) -> None:
+        super().__init__(Periodic(1.0 / DEPTH_RATE_HZ))
         self.config = config
         self.trajectory = trajectory
-        self.camera = camera or DepthCamera(DepthScene.default(), width=64, height=48)
+        self.camera = DepthCamera(DepthScene.default(), width=64, height=48)
 
     def iteration(self, ctx: InvocationContext) -> IterationResult:
         result = IterationResult()
@@ -69,18 +74,10 @@ class SceneReconstructionPlugin(Plugin):
     component = "scene_reconstruction"
     pipeline = "perception"
 
-    def __init__(
-        self,
-        config: SystemConfig,
-        camera: DepthCamera,
-        real_every: int = 1,
-    ) -> None:
+    def __init__(self, config: SystemConfig, camera: DepthCamera) -> None:
         super().__init__(OnTopic("depth"))
-        if real_every < 1:
-            raise ValueError("real_every must be >= 1")
         self.config = config
         self.pipeline_impl = ReconstructionPipeline(camera)
-        self.real_every = real_every
         self.frames_fused = 0
 
     def iteration(self, ctx: InvocationContext) -> IterationResult:
@@ -93,14 +90,13 @@ class SceneReconstructionPlugin(Plugin):
             result.publish("scene_map", None, data_time=ctx.now)
             return result
         depth, pose_guess = payload
-        if ctx.index % self.real_every == 0:
-            frame_result = self.pipeline_impl.process_frame(depth, pose_guess)
-            self.frames_fused += 1
-            result.publish("scene_map", frame_result, data_time=ctx.now)
-            # The map grows over time; so does per-frame work (§IV-B1).
-            result.complexity = float(
-                np.clip(0.7 + 2.0 * frame_result.occupied_fraction, 0.5, 2.0)
-            )
+        frame_result = self.pipeline_impl.process_frame(depth, pose_guess)
+        self.frames_fused += 1
+        result.publish("scene_map", frame_result, data_time=ctx.now)
+        # The map grows over time; so does per-frame work (§IV-B1).
+        result.complexity = float(
+            np.clip(0.7 + 2.0 * frame_result.occupied_fraction, 0.5, 2.0)
+        )
         return result
 
 
@@ -111,28 +107,20 @@ class EyeTrackingPlugin(Plugin):
     component = "eye_tracking"
     pipeline = "perception"
 
-    def __init__(
-        self,
-        config: SystemConfig,
-        rate_hz: float = 30.0,
-        tracker: Optional[EyeTracker] = None,
-        train_steps: int = 60,
-        real_every: int = 2,
-    ) -> None:
-        super().__init__(Periodic(1.0 / rate_hz))
+    def __init__(self, config: SystemConfig) -> None:
+        super().__init__(Periodic(1.0 / EYE_TRACKING_RATE_HZ))
         self.config = config
-        self.real_every = max(real_every, 1)
         self._generator = EyeImageGenerator(seed=config.seed + 500)
-        if tracker is None:
-            tracker = EyeTracker(seed=config.seed)
-            if config.fidelity == "full":
-                tracker.train(EyeImageGenerator(seed=config.seed + 501), steps=train_steps)
-        self.tracker = tracker
+        self.tracker = EyeTracker(seed=config.seed)
+        if config.fidelity == "full":
+            self.tracker.train(
+                EyeImageGenerator(seed=config.seed + 501), steps=EYE_TRACKER_TRAIN_STEPS
+            )
         self.predictions = 0
 
     def iteration(self, ctx: InvocationContext) -> IterationResult:
         result = IterationResult()
-        if self.config.fidelity != "full" or ctx.index % self.real_every != 0:
+        if self.config.fidelity != "full" or ctx.index % EYE_TRACKING_STRIDE != 0:
             result.publish("gaze", None, data_time=ctx.now)
             return result
         # One image per eye: batch size two, as the paper notes.
@@ -152,24 +140,16 @@ class HologramPlugin(Plugin):
     component = "hologram"
     pipeline = "visual"
 
-    def __init__(
-        self,
-        config: SystemConfig,
-        resolution: int = 64,
-        iterations: int = 3,
-        real_every: int = 30,
-    ) -> None:
+    def __init__(self, config: SystemConfig) -> None:
         super().__init__(OnTopic("frame"))
         self.config = config
-        self.solver = WeightedGerchbergSaxton(resolution=resolution)
-        self.iterations = iterations
-        self.real_every = max(real_every, 1)
+        self.solver = WeightedGerchbergSaxton(resolution=HOLOGRAM_RESOLUTION)
         self.holograms_computed = 0
         self._rng = np.random.default_rng(config.seed + 600)
 
     def iteration(self, ctx: InvocationContext) -> IterationResult:
         result = IterationResult()
-        if self.config.fidelity == "full" and ctx.index % self.real_every == 0:
+        if self.config.fidelity == "full" and ctx.index % HOLOGRAM_STRIDE == 0:
             n = self.solver.resolution
             # Integrated runs carry poses, not pixels; solve against a
             # synthetic focal stack of the right shape.
@@ -177,7 +157,7 @@ class HologramPlugin(Plugin):
                 np.abs(self._rng.normal(0.0, 1.0, (n, n))) * (self._rng.random((n, n)) > 0.8)
                 for _ in self.solver.depths_m
             ]
-            solution = self.solver.solve(targets, iterations=self.iterations)
+            solution = self.solver.solve(targets, iterations=HOLOGRAM_ITERATIONS)
             self.holograms_computed += 1
             result.publish("hologram_phase", solution.efficiency, data_time=ctx.now)
         return result

@@ -101,14 +101,13 @@ class OffloadedVioPlugin(Plugin):
         trajectory: TrajectorySpline,
         remote_platform: Platform,
         link: Optional[NetworkLink] = None,
-        msckf_config=None,
     ) -> None:
         super().__init__(OnTopic("camera"))
         from repro.plugins.perception import VioPlugin
 
         # Delegate the actual filtering to a local VioPlugin instance --
         # the algorithm is identical; only *where* it runs differs.
-        self._inner = VioPlugin(config, camera, trajectory, msckf_config=msckf_config)
+        self._inner = VioPlugin(config, camera, trajectory)
         self.config = config
         self.link = link or NetworkLink()
         self.remote_timing = TimingModel(remote_platform, seed=config.seed + 1)
@@ -167,7 +166,6 @@ def build_offloaded_runtime(
             plugin.trajectory,
             remote_platform=remote_platform,
             link=link,
-            msckf_config=plugin.msckf_config,
         )
         if isinstance(plugin, VioPlugin)
         else plugin

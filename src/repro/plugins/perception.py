@@ -21,6 +21,11 @@ from repro.sensors.camera import StereoCamera
 from repro.sensors.imu import ImuModel, ImuSample
 
 
+#: How far back the integrator keeps IMU samples to re-propagate from a new
+#: VIO anchor (seconds).
+INTEGRATOR_BUFFER_S = 1.0
+
+
 class CameraPlugin(Plugin):
     """Publishes stereo feature frames at the camera rate (ZED stand-in)."""
 
@@ -83,18 +88,12 @@ class VioPlugin(Plugin):
     component = "vio"
     pipeline = "perception"
 
-    def __init__(
-        self,
-        config: SystemConfig,
-        camera: StereoCamera,
-        trajectory: TrajectorySpline,
-        msckf_config: Optional[MsckfConfig] = None,
-    ) -> None:
+    def __init__(self, config: SystemConfig, camera: StereoCamera, trajectory: TrajectorySpline) -> None:
         super().__init__(OnTopic("camera"))
         self.config = config
         self.camera = camera
         self.trajectory = trajectory
-        self.msckf_config = msckf_config or (
+        self.msckf_config = (
             MsckfConfig.high_accuracy() if config.vio_quality == "high" else MsckfConfig.standard()
         )
         self.filter: Optional[Msckf] = None
@@ -211,12 +210,11 @@ class IntegratorPlugin(Plugin):
     component = "integrator"
     pipeline = "perception"
 
-    def __init__(self, config: SystemConfig, trajectory: TrajectorySpline, buffer_seconds: float = 1.0) -> None:
+    def __init__(self, config: SystemConfig, trajectory: TrajectorySpline) -> None:
         super().__init__(OnTopic("imu"))
         self.config = config
         self.trajectory = trajectory
         self._buffer: Deque[ImuSample] = deque()
-        self._buffer_seconds = buffer_seconds
         self._integrator: Optional[Rk4Integrator] = None
         self._anchor_timestamp = -1.0
         self._slow_pose_topic = None
@@ -255,7 +253,7 @@ class IntegratorPlugin(Plugin):
             return result
 
         self._buffer.append(sample)
-        while self._buffer and self._buffer[0].timestamp < ctx.now - self._buffer_seconds:
+        while self._buffer and self._buffer[0].timestamp < ctx.now - INTEGRATOR_BUFFER_S:
             self._buffer.popleft()
 
         latest = self._slow_pose_topic.get_latest() if self._slow_pose_topic else None

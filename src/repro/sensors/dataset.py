@@ -4,14 +4,16 @@
 and publishes to the same output stream as a live camera+IMU component,
 appearing indistinguishable from a real camera/IMU to the rest of the
 system."  :func:`make_vicon_room_dataset` synthesizes the stand-in for
-EuRoC *Vicon Room 1 Medium* used by the VIO and image-quality experiments.
+EuRoC *Vicon Room 1 Medium* used by the VIO and image-quality experiments,
+and :meth:`OfflineDataset.replay` is the offline VIO run over it.
 """
 
 from __future__ import annotations
 
 import bisect
+import time
 from dataclasses import dataclass
-from typing import List
+from typing import Iterator, List, Tuple
 
 from repro.maths.se3 import Pose
 from repro.maths.splines import TrajectorySpline
@@ -55,6 +57,36 @@ class OfflineDataset:
         lo = bisect.bisect_right(self._frame_times, t_start)
         hi = bisect.bisect_right(self._frame_times, t_end)
         return self.camera_frames[lo:hi]
+
+    def start_vio(self, filter_class, config):
+        """A VIO filter (``Msckf`` or ``EkfSlamVio``, which share a
+        constructor) at the recording's first pose and velocity."""
+        return filter_class(
+            config,
+            self.camera.intrinsics,
+            self.camera.baseline_m,
+            self.ground_truth(0.0),
+            initial_velocity=self.trajectory.sample(0.0).velocity,
+        )
+
+    def replay(self, vio) -> Iterator[Tuple[float, float]]:
+        """Run ``vio`` over the recording, one frame per step.
+
+        Before each frame the filter gets the IMU samples in
+        ``(t_previous_frame, t_frame]``, in order.  Each step yields the
+        frame's position error against ground truth (m) and the host
+        seconds ``process_frame`` took.  Zipping two replays runs their
+        filters in lockstep, frame by frame.
+        """
+        t_last = 0.0
+        for frame in self.camera_frames:
+            for sample in self.imu_between(t_last, frame.timestamp):
+                vio.process_imu(sample)
+            t_last = frame.timestamp
+            start = time.perf_counter()
+            estimate = vio.process_frame(frame)
+            seconds = time.perf_counter() - start
+            yield estimate.pose.translation_error(self.ground_truth(frame.timestamp)), seconds
 
 
 def make_vicon_room_dataset(

@@ -13,24 +13,9 @@ from repro.perception.vio.ekf_slam import EkfSlamVio
 from repro.perception.vio.msckf import Msckf, MsckfConfig
 
 
-def _run(filter_class, dataset, **kwargs):
-    vio = filter_class(
-        MsckfConfig.standard(),
-        dataset.camera.intrinsics,
-        dataset.camera.baseline_m,
-        dataset.ground_truth(0.0),
-        initial_velocity=dataset.trajectory.sample(0.0).velocity,
-        **kwargs,
-    )
-    t_last = 0.0
-    errors = []
-    for frame in dataset.camera_frames:
-        for sample in dataset.imu_between(t_last, frame.timestamp):
-            vio.process_imu(sample)
-        t_last = frame.timestamp
-        estimate = vio.process_frame(frame)
-        errors.append(estimate.pose.translation_error(dataset.ground_truth(frame.timestamp)))
-    return vio, np.asarray(errors)
+def _run(filter_class, dataset):
+    vio = dataset.start_vio(filter_class, MsckfConfig.standard())
+    return vio, np.array([error for error, _seconds in dataset.replay(vio)])
 
 
 # ---------------------------------------------------------------------------
@@ -69,18 +54,12 @@ def test_ekf_slam_task_breakdown(small_dataset):
     assert breakdown["landmark_initialization"] > 0
 
 
-def test_ekf_slam_in_vio_plugin(small_dataset):
+def test_ekf_slam_in_vio_plugin():
     """The VIO plugin accepts the alternative filter (modularity claim)."""
     from repro.core.config import SystemConfig
-    from repro.core.runtime import Runtime, build_runtime
+    from repro.core.runtime import build_runtime
     from repro.hardware.platform import DESKTOP
     from repro.plugins.perception import VioPlugin
-
-    config = SystemConfig(duration_s=2.0, fidelity="full", seed=0)
-    base = build_runtime(DESKTOP, "ar_demo", config)
-    for plugin in base.plugins:
-        if isinstance(plugin, VioPlugin):
-            camera, trajectory = plugin.camera, plugin.trajectory
 
     class EkfVioPlugin(VioPlugin):
         def _ensure_filter(self, now):
@@ -95,19 +74,15 @@ def test_ekf_slam_in_vio_plugin(small_dataset):
                 )
             return self.filter
 
-    plugins = [
-        EkfVioPlugin(config, camera, trajectory) if isinstance(p, VioPlugin) else p
-        for p in base.plugins
+    config = SystemConfig(duration_s=2.0, fidelity="full", seed=0)
+    runtime = build_runtime(DESKTOP, "ar_demo", config)
+    runtime.plugins = [
+        EkfVioPlugin(config, p.camera, p.trajectory) if isinstance(p, VioPlugin) else p
+        for p in runtime.plugins
     ]
-    runtime = Runtime(base.platform, config, "ar_demo", plugins, base.trajectory,
-                      timing=base.timing)
     result = runtime.run()
     assert result.frame_rate("vio") > 13
-    errors = [
-        est.pose.translation_error(result.ground_truth(est.timestamp))
-        for _, est in result.vio_trajectory
-    ]
-    assert np.mean(errors) < 0.15
+    assert result.vio_ate().mean_m < 0.15
 
 
 # ---------------------------------------------------------------------------

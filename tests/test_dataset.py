@@ -1,5 +1,7 @@
 """Unit tests for the offline dataset (record/replay)."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -52,3 +54,42 @@ def test_dataset_exposure_knob():
 
 def test_dataset_duration_property(small_dataset):
     assert small_dataset.duration >= 6.0
+
+
+class _RecordingFilter:
+    """A stand-in VIO filter: logs every call and estimates the true pose."""
+
+    def __init__(self, dataset):
+        self.dataset = dataset
+        self.calls = []
+
+    def process_imu(self, sample):
+        self.calls.append(("imu", sample.timestamp))
+
+    def process_frame(self, frame):
+        self.calls.append(("frame", frame.timestamp))
+        return SimpleNamespace(pose=self.dataset.ground_truth(frame.timestamp))
+
+
+def test_replay_feeds_each_imu_sample_once_before_its_frame(small_dataset):
+    vio = _RecordingFilter(small_dataset)
+    replayed = list(small_dataset.replay(vio))
+    frame_times = [f.timestamp for f in small_dataset.camera_frames]
+    assert [t for kind, t in vio.calls if kind == "frame"] == frame_times
+    assert [error for error, _seconds in replayed] == [0.0] * len(frame_times)
+    assert all(seconds >= 0.0 for _error, seconds in replayed)
+    # Every sample in (0, last frame] exactly once, in order...
+    imu_times = [s.timestamp for s in small_dataset.imu_samples]
+    expected = [t for t in imu_times if 0.0 < t <= frame_times[-1]]
+    assert [t for kind, t in vio.calls if kind == "imu"] == expected
+    assert len(expected) < len(imu_times)  # the recording runs past its last frame
+    # ...each after the frame before it and before the frame it precedes,
+    # and none after the last frame.
+    previous_frame, pending = 0.0, []
+    for kind, t in vio.calls:
+        if kind == "imu":
+            pending.append(t)
+        else:
+            assert all(previous_frame < s <= t for s in pending)
+            previous_frame, pending = t, []
+    assert pending == []

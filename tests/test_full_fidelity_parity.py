@@ -733,18 +733,6 @@ def test_ekf_slam_run_enters_propagate_symmetric(symmetry_probe):
     from repro.sensors.dataset import make_vicon_room_dataset
 
     dataset = make_vicon_room_dataset(duration=3.0, seed=3)
-    vio = EkfSlamVio(
-        MsckfConfig.standard(),
-        dataset.camera.intrinsics,
-        dataset.camera.baseline_m,
-        dataset.ground_truth(0.0),
-        initial_velocity=dataset.trajectory.sample(0.0).velocity,
-    )
-    t_last = 0.0
-    for frame in dataset.camera_frames:
-        for sample in dataset.imu_between(t_last, frame.timestamp):
-            vio.process_imu(sample)
-        t_last = frame.timestamp
-        vio.process_frame(frame)
+    list(dataset.replay(dataset.start_vio(EkfSlamVio, MsckfConfig.standard())))
     assert symmetry_probe["entries"] > 1000
     assert symmetry_probe["asymmetric"] == 0

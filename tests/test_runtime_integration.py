@@ -134,13 +134,10 @@ def test_unknown_app_rejected():
 
 
 def test_full_run_vio_tracks_ground_truth(desktop_full_run):
-    result = desktop_full_run
-    assert len(result.vio_trajectory) > 30
-    errors = [
-        est.pose.translation_error(result.ground_truth(est.timestamp))
-        for _, est in result.vio_trajectory
-    ]
-    assert np.mean(errors) < 0.1
+    ate = desktop_full_run.vio_ate()
+    assert ate.count == len(desktop_full_run.vio_trajectory) > 30
+    assert ate.mean_m < 0.1
+    assert ate.rmse_m < 0.2
 
 
 def test_full_run_produces_mtp_and_display_events(desktop_full_run):

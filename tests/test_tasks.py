@@ -121,21 +121,12 @@ TABLE_ORDERS = {
 
 
 def _vio_breakdown(filter_class, dataset):
+    from itertools import islice
+
     from repro.perception.vio.msckf import MsckfConfig
 
-    vio = filter_class(
-        MsckfConfig.standard(),
-        dataset.camera.intrinsics,
-        dataset.camera.baseline_m,
-        dataset.ground_truth(0.0),
-        initial_velocity=dataset.trajectory.sample(0.0).velocity,
-    )
-    t_last = 0.0
-    for frame in dataset.camera_frames[:4]:
-        for sample in dataset.imu_between(t_last, frame.timestamp):
-            vio.process_imu(sample)
-        t_last = frame.timestamp
-        vio.process_frame(frame)
+    vio = dataset.start_vio(filter_class, MsckfConfig.standard())
+    list(islice(dataset.replay(vio), 4))  # the first four frames
     return vio.task_breakdown()
 
 
