@@ -49,11 +49,8 @@ def main() -> None:
     clock = {"now": 0.0}
 
     def publish_pose(t: float) -> None:
-        sample = trajectory.sample(t)
         clock["now"] = t
-        switchboard.topic("fast_pose").put(
-            t, Pose(sample.position, sample.orientation, timestamp=t), data_time=t
-        )
+        switchboard.topic("fast_pose").put(t, trajectory.pose(t), data_time=t)
 
     instance = Instance.create("repro example app")
     session = instance.create_session(switchboard, now_fn=lambda: clock["now"])

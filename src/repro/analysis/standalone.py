@@ -97,8 +97,7 @@ def characterize_reconstruction(frames: int = 30, seed: int = 3) -> TaskBreakdow
     errors: List[float] = []
     for i in range(frames):
         t = i * 0.3
-        sample = trajectory.sample(t)
-        truth = Pose(sample.position, sample.orientation, timestamp=t)
+        truth = trajectory.pose(t)
         depth = camera.render(truth)
         guess = Pose(truth.position + rng.normal(0.0, 0.03, 3), truth.orientation, timestamp=t)
         result = pipeline.process_frame(depth, guess)

@@ -85,8 +85,7 @@ class RuntimeResult:
 
     def ground_truth(self, t: float) -> Pose:
         """The true head pose at virtual time ``t``."""
-        sample = self.trajectory.sample(t)
-        return Pose(sample.position, sample.orientation, timestamp=t)
+        return self.trajectory.pose(t)
 
     def vio_errors(self) -> List[float]:
         """Position error (m) of each VIO estimate, in publish order,

@@ -22,6 +22,11 @@ from repro.maths.quaternion import (
     quat_rotate,
 )
 
+#: The sensor rig's body (x fwd, y left, z up) -> camera (x right, y down,
+#: z fwd) rotation, shared by every camera on the head.  Read-only.
+R_CAM_BODY = np.array([[0.0, -1.0, 0.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]])
+R_CAM_BODY.flags.writeable = False
+
 
 def skew(v: np.ndarray) -> np.ndarray:
     """Skew-symmetric (cross-product) matrix of a 3-vector."""

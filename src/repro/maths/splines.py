@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.maths.se3 import Pose
+
 
 def euler_zyx_to_quat(yaw: float, pitch: float, roll: float) -> np.ndarray:
     """ZYX Euler angles to unit quaternion (body-to-world).
@@ -121,6 +123,10 @@ class SplineSample:
     orientation: np.ndarray       # unit quaternion, body-to-world
     omega_body: np.ndarray        # body frame angular velocity (rad/s)
 
+    def pose(self, timestamp: float) -> Pose:
+        """This sample's position and orientation, stamped ``timestamp``."""
+        return Pose(self.position, self.orientation, timestamp=timestamp)
+
 
 class TrajectorySpline:
     """Cubic-spline trajectory through position and Euler-angle waypoints.
@@ -184,6 +190,10 @@ class TrajectorySpline:
             orientation=euler_zyx_to_quat(*v[9:12]),
             omega_body=euler_rates_to_body_omega(*v[9:15]),
         )
+
+    def pose(self, t: float) -> Pose:
+        """The true pose at time ``t`` (clamped to the domain), stamped ``t``."""
+        return self.sample(t).pose(t)
 
     @property
     def duration(self) -> float:

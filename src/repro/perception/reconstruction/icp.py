@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.maths.quaternion import matrix_to_quat, quat_to_matrix
-from repro.maths.se3 import Pose, so3_exp, so3_log
+from repro.maths.se3 import R_CAM_BODY, Pose, so3_exp, so3_log
 from repro.perception.reconstruction.raycast import RaycastResult
 from repro.sensors.depth import DepthCamera
 
@@ -66,10 +66,9 @@ def icp_point_to_plane(
     vertices_cam = vertices_cam.reshape(-1, 3)
     frame_valid = depth.reshape(-1) > 1e-3
 
-    r_cb = camera._r_cam_body
     # Model camera for projective association.
     r_model = quat_to_matrix(model_pose.orientation)
-    r_cw_model = r_cb @ r_model.T
+    r_cw_model = R_CAM_BODY @ r_model.T
     t_model = -r_cw_model @ model_pose.position
 
     rotation = quat_to_matrix(initial_pose.orientation)
@@ -84,7 +83,7 @@ def icp_point_to_plane(
     iteration = 0
     for iteration in range(1, iterations + 1):
         # Current frame points -> world (current estimate).
-        points_world = (vertices_cam @ r_cb) @ rotation.T + translation
+        points_world = (vertices_cam @ R_CAM_BODY) @ rotation.T + translation
         # Project into the model view for association.
         cam = points_world @ r_cw_model.T + t_model
         z = cam[:, 2]
@@ -100,7 +99,7 @@ def icp_point_to_plane(
         ok &= np.abs(residual) < max_correspondence_m
         # Normal-agreement gating: frame and model normals must align
         # (rejects edge pixels and gross mis-associations).
-        frame_normals_world = (frame_normals_cam @ r_cb) @ rotation.T
+        frame_normals_world = (frame_normals_cam @ R_CAM_BODY) @ rotation.T
         agreement = np.abs(np.einsum("ij,ij->i", frame_normals_world, n))
         ok &= agreement > 0.7
         count = int(ok.sum())

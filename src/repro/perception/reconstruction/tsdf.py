@@ -32,7 +32,7 @@ from typing import Tuple
 import numpy as np
 
 from repro.maths.quaternion import quat_to_matrix
-from repro.maths.se3 import Pose
+from repro.maths.se3 import R_CAM_BODY, Pose
 from repro.perf import span
 from repro.sensors.depth import DepthCamera
 
@@ -40,6 +40,12 @@ from repro.sensors.depth import DepthCamera
 _BLOCK_EDGE = 8
 # The largest grid whose flat voxel indices (up to n^3 - 1) fit in int32.
 _MAX_RESOLUTION = 1290
+
+
+def _extrinsics(pose: Pose) -> Tuple[np.ndarray, np.ndarray]:
+    """``(R_cw, t)`` with ``p_cam = R_cw @ p_world + t`` for a camera at ``pose``."""
+    r_cw = R_CAM_BODY @ quat_to_matrix(pose.orientation).T
+    return r_cw, -r_cw @ pose.position
 
 
 @dataclass
@@ -123,14 +129,6 @@ class TsdfVolume:
         """Fraction of voxels that have received any observation."""
         return float((self.weight > 0).mean())
 
-    def _camera_pose_to_extrinsics(
-        self, pose: Pose, camera: DepthCamera
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        r_wb = quat_to_matrix(pose.orientation)
-        r_cw = camera._r_cam_body @ r_wb.T
-        t = -r_cw @ pose.position
-        return r_cw, t
-
     def _visible_voxels(self, pose: Pose, camera: DepthCamera) -> np.ndarray:
         """Flat indices of voxels whose block may project into the image.
 
@@ -139,7 +137,7 @@ class TsdfVolume:
         four image-edge planes (with one pixel of slack), so no voxel that
         projects into the image is ever dropped.
         """
-        r_cw, t = self._camera_pose_to_extrinsics(pose, camera)
+        r_cw, t = _extrinsics(pose)
         block_cam = self._block_centers @ r_cw.T + t
         radii = self._block_radii
         keep = block_cam[:, 2] + radii > 1e-3
@@ -160,7 +158,7 @@ class TsdfVolume:
             selected = self._visible_voxels(pose, camera)
             if len(selected) == 0:
                 return 0
-            r_cw, t = self._camera_pose_to_extrinsics(pose, camera)
+            r_cw, t = _extrinsics(pose)
             cam = self._voxel_centers(selected) @ r_cw.T + t
             z = cam[:, 2]
             in_front = z > 1e-3

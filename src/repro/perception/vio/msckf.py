@@ -18,9 +18,10 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.maths.se3 import Pose
+from repro.maths.splines import TrajectorySpline
 from repro.perception.vio.state import VioState
 from repro.perception.vio.tracker import FeatureTracker, Track
-from repro.perception.vio.triangulation import CloneObservation, triangulate
+from repro.perception.vio.triangulation import CloneObservation, TriangulationResult, triangulate
 from repro.perception.vio.update import (
     MAX_TRACK_CLONES,
     chi2_gate,
@@ -32,7 +33,7 @@ from repro.perception.vio.update import (
 )
 from repro.perception.vio import propagation
 from repro.perf import TaskTimer
-from repro.sensors.camera import CameraFrame, CameraIntrinsics
+from repro.sensors.camera import CameraFrame, CameraIntrinsics, StereoCamera
 from repro.sensors.imu import ImuNoise, ImuSample
 
 TASK_NAMES = (
@@ -114,7 +115,16 @@ class VioEstimate:
 
 
 class Msckf:
-    """Stereo MSCKF visual-inertial odometry."""
+    """Stereo MSCKF visual-inertial odometry.
+
+    The VIO core: propagation, boot, triangulation, SLAM-landmark
+    initialization and updates, and the estimate.  An alternative filter
+    subclasses it and defines its own :meth:`process_frame`, task table
+    and timer name.
+    """
+
+    TASK_NAMES = TASK_NAMES
+    COMPONENT = "msckf"
 
     def __init__(
         self,
@@ -127,9 +137,6 @@ class Msckf:
         self.config = config
         self.intrinsics = intrinsics
         self.baseline_m = baseline_m
-        # Body (x fwd, y left, z up) -> camera (x right, y down, z fwd);
-        # must match the sensor rig's convention.
-        self.r_cam_body = np.array([[0.0, -1.0, 0.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]])
         self.state = VioState(
             timestamp=initial_pose.timestamp,
             orientation=initial_pose.orientation.copy(),
@@ -137,10 +144,24 @@ class Msckf:
             velocity=np.zeros(3) if initial_velocity is None else np.asarray(initial_velocity, dtype=float),
         )
         self.tracker = FeatureTracker(config.max_features)
-        self._timer = TaskTimer("msckf", TASK_NAMES)
+        self._timer = TaskTimer(self.COMPONENT, self.TASK_NAMES)
         self._slam_last_seen: Dict[int, int] = {}
         self._retired_slam_ids: set[int] = set()
         self._frame_count = 0
+
+    @classmethod
+    def at(
+        cls, config: MsckfConfig, camera: StereoCamera, trajectory: TrajectorySpline, t: float
+    ) -> "Msckf":
+        """A filter for ``camera`` booted at the true pose and velocity at ``t``."""
+        truth = trajectory.sample(t)
+        return cls(
+            config,
+            camera.intrinsics,
+            camera.baseline_m,
+            truth.pose(t),
+            initial_velocity=truth.velocity,
+        )
 
     # ------------------------------------------------------------------
 
@@ -210,9 +231,7 @@ class Msckf:
                 result = triangulated.get(track.feature_id)
                 if result is None:
                     continue
-                jac = feature_jacobians(
-                    state, track, result.position, self.intrinsics, self.baseline_m, self.r_cam_body
-                )
+                jac = feature_jacobians(state, track, result.position, self.intrinsics, self.baseline_m)
                 if jac is None:
                     continue
                 residual, h_x, h_f = jac
@@ -232,51 +251,11 @@ class Msckf:
         with self._timer("feature_initialization"):
             for track in promotions:
                 result = triangulated.get(track.feature_id)
-                if result is None:
-                    self._retired_slam_ids.add(track.feature_id)
-                    continue
-                jac = feature_jacobians(
-                    state, track, result.position, self.intrinsics, self.baseline_m, self.r_cam_body
-                )
-                if jac is None:
-                    self._retired_slam_ids.add(track.feature_id)
-                    continue
-                residual, h_x, h_f = jac
-                if initialize_landmark(
-                    state, track.feature_id, result.position, residual, h_x, h_f, config.pixel_sigma
-                ):
-                    self._slam_last_seen[track.feature_id] = self._frame_count
-                else:
+                if result is None or not self._initialize_landmark(track, result):
                     self._retired_slam_ids.add(track.feature_id)
 
         with self._timer("slam_update"):
-            slam_r: List[np.ndarray] = []
-            slam_h: List[np.ndarray] = []
-            for feature_id in state.landmark_ids():
-                obs = frame.observations.get(feature_id)
-                if obs is None:
-                    continue
-                u_l, v_l, u_r, v_r = obs
-                jac = landmark_jacobians(
-                    state,
-                    feature_id,
-                    clone.clone_id,
-                    np.array([u_l, v_l]),
-                    np.array([u_r, v_r]),
-                    self.intrinsics,
-                    self.baseline_m,
-                    self.r_cam_body,
-                )
-                if jac is None:
-                    continue
-                residual, h = jac
-                if not chi2_gate(residual, h, state.covariance, config.pixel_sigma):
-                    continue
-                slam_r.append(residual)
-                slam_h.append(h)
-                self._slam_last_seen[feature_id] = self._frame_count
-            if slam_r:
-                ekf_update(state, np.concatenate(slam_r), np.vstack(slam_h), config.pixel_sigma)
+            self._update_landmarks(frame, clone.clone_id)
 
         # Marginalization: bound the clone window, prune stale landmarks.
         with self._timer("marginalization"):
@@ -295,7 +274,56 @@ class Msckf:
 
     # ------------------------------------------------------------------
 
-    def _triangulate_track(self, track: Track):
+    def _initialize_landmark(self, track: Track, result: TriangulationResult) -> Optional[bool]:
+        """Offer ``track``, triangulated as ``result``, to the state as a
+        SLAM landmark.
+
+        Returns None when no clone of the window could linearize the
+        track, else whether the landmark entered the state.
+        """
+        jac = feature_jacobians(self.state, track, result.position, self.intrinsics, self.baseline_m)
+        if jac is None:
+            return None
+        residual, h_x, h_f = jac
+        took = initialize_landmark(
+            self.state, track.feature_id, result.position, residual, h_x, h_f, self.config.pixel_sigma
+        )
+        if took:
+            self._slam_last_seen[track.feature_id] = self._frame_count
+        return took
+
+    def _update_landmarks(self, frame: CameraFrame, clone_id: int) -> None:
+        """One EKF update from every in-state landmark that ``frame``
+        observes from clone ``clone_id`` and that passes its chi-squared gate."""
+        state = self.state
+        stacked_r: List[np.ndarray] = []
+        stacked_h: List[np.ndarray] = []
+        for feature_id in state.landmark_ids():
+            obs = frame.observations.get(feature_id)
+            if obs is None:
+                continue
+            u_l, v_l, u_r, v_r = obs
+            jac = landmark_jacobians(
+                state,
+                feature_id,
+                clone_id,
+                np.array([u_l, v_l]),
+                np.array([u_r, v_r]),
+                self.intrinsics,
+                self.baseline_m,
+            )
+            if jac is None:
+                continue
+            residual, h = jac
+            if not chi2_gate(residual, h, state.covariance, self.config.pixel_sigma):
+                continue
+            stacked_r.append(residual)
+            stacked_h.append(h)
+            self._slam_last_seen[feature_id] = self._frame_count
+        if stacked_r:
+            ekf_update(state, np.concatenate(stacked_r), np.vstack(stacked_h), self.config.pixel_sigma)
+
+    def _triangulate_track(self, track: Track) -> Optional[TriangulationResult]:
         window = {c.clone_id: c for c in self.state.clones}
         observations = [
             CloneObservation(
@@ -310,11 +338,7 @@ class Msckf:
         if not observations:
             return None
         return triangulate(
-            observations,
-            self.intrinsics,
-            self.baseline_m,
-            self.r_cam_body,
-            pixel_sigma=self.config.pixel_sigma,
+            observations, self.intrinsics, self.baseline_m, pixel_sigma=self.config.pixel_sigma
         )
 
     def estimate(self) -> VioEstimate:

@@ -45,15 +45,6 @@ class Track:
         self.observations.pop(clone_id, None)
 
 
-@dataclass
-class TrackerReport:
-    """What one frame did to the track table."""
-
-    matched: int
-    detected: int
-    lost: List[Track]
-
-
 class FeatureTracker:
     """Budgeted track table over the synthetic camera's feature ids."""
 
@@ -100,12 +91,6 @@ class FeatureTracker:
             self.active[feature_id] = track
             detected += 1
         return detected
-
-    def process_frame(self, frame: CameraFrame, clone_id: int) -> TrackerReport:
-        """Match then detect in one call (convenience wrapper)."""
-        matched, lost = self.match(frame, clone_id)
-        detected = self.detect(frame, clone_id)
-        return TrackerReport(matched=matched, detected=detected, lost=lost)
 
     def pop(self, feature_id: int) -> Track:
         """Remove and return an active track (e.g. when spent on an update)."""

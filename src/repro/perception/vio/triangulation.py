@@ -15,6 +15,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.maths.quaternion import quat_to_matrix
+from repro.maths.se3 import R_CAM_BODY
 from repro.sensors.camera import CameraIntrinsics
 
 
@@ -65,7 +66,7 @@ def stereo_projection(
 
 
 def _window_cameras(
-    observations: List[CloneObservation], r_cam_body: np.ndarray, baseline_m: float
+    observations: List[CloneObservation], baseline_m: float
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Camera poses and pixels of every eye in the clone window.
 
@@ -74,7 +75,7 @@ def _window_cameras(
     right eye (index 1, ``baseline_m`` along camera +x).
     """
     r_wb = np.array([quat_to_matrix(obs.orientation) for obs in observations])
-    r_cw = r_cam_body @ r_wb.transpose(0, 2, 1)
+    r_cw = R_CAM_BODY @ r_wb.transpose(0, 2, 1)
     positions = np.array([obs.position for obs in observations], dtype=float)
     t = np.repeat((-r_cw @ positions[:, :, None]).transpose(0, 2, 1), 2, axis=1)
     t[:, 1, 0] -= baseline_m
@@ -86,7 +87,6 @@ def triangulate(
     observations: List[CloneObservation],
     intrinsics: CameraIntrinsics,
     baseline_m: float,
-    r_cam_body: np.ndarray,
     max_iterations: int = 5,
     pixel_sigma: float = 1.0,
 ) -> Optional[TriangulationResult]:
@@ -97,7 +97,7 @@ def triangulate(
     """
     if not observations:
         return None
-    r_cw, t, pixels = _window_cameras(observations, r_cam_body, baseline_m)
+    r_cw, t, pixels = _window_cameras(observations, baseline_m)
     count = len(observations)
     # Linear DLT rows per eye: x * (r3 p + t3) = r1 p + t1, then the same in y.
     xy = (pixels - np.array([intrinsics.cx, intrinsics.cy])) / np.array(

@@ -13,6 +13,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.maths.quaternion import quat_to_matrix
+from repro.maths.se3 import R_CAM_BODY
 from repro.perception.vio.state import CLONE_DIM, IMU_DIM, LANDMARK_DIM, CloneState, VioState
 from repro.perception.vio.tracker import Track
 from repro.perception.vio.triangulation import stereo_projection
@@ -87,7 +88,6 @@ def _window_jacobians(
     pixels: np.ndarray,
     intrinsics: CameraIntrinsics,
     baseline_m: float,
-    r_cam_body: np.ndarray,
 ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Stereo residuals and Jacobian blocks of one point seen from K clones.
 
@@ -100,7 +100,7 @@ def _window_jacobians(
     r_bw = np.array([quat_to_matrix(clone.orientation) for clone in clones]).transpose(0, 2, 1)
     positions = np.array([clone.position for clone in clones])
     y = (r_bw @ (feature_position - positions)[:, :, None])[:, :, 0]  # body frame
-    p_cam = np.repeat(y @ r_cam_body.T, 2, axis=0)
+    p_cam = np.repeat(y @ R_CAM_BODY.T, 2, axis=0)
     p_cam[1::2, 0] -= baseline_m
     projected = stereo_projection(p_cam, intrinsics)
     if projected is None:
@@ -109,8 +109,8 @@ def _window_jacobians(
     count = len(clones)
     j_proj = j_proj.reshape(count, 4, 3)
     skew_y = (y @ _SKEW_BASIS).reshape(-1, 3, 3)  # [y]x per clone
-    h_f = j_proj @ (r_cam_body @ r_bw)
-    h_pose = np.concatenate([j_proj @ (r_cam_body @ skew_y), -h_f], axis=2)
+    h_f = j_proj @ (R_CAM_BODY @ r_bw)
+    h_pose = np.concatenate([j_proj @ (R_CAM_BODY @ skew_y), -h_f], axis=2)
     return (pixels - uv).ravel(), h_pose, h_f
 
 
@@ -120,7 +120,6 @@ def feature_jacobians(
     feature_position: np.ndarray,
     intrinsics: CameraIntrinsics,
     baseline_m: float,
-    r_cam_body: np.ndarray,
 ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Stack residuals and Jacobians for one feature over its clone window.
 
@@ -138,12 +137,7 @@ def feature_jacobians(
     slots = [i for i, _, _ in seen]
     pixels = np.array([uv for _, uv_left, uv_right in seen for uv in (uv_left, uv_right)])
     blocks = _window_jacobians(
-        [state.clones[i] for i in slots],
-        feature_position,
-        pixels,
-        intrinsics,
-        baseline_m,
-        r_cam_body,
+        [state.clones[i] for i in slots], feature_position, pixels, intrinsics, baseline_m
     )
     if blocks is None:
         return None
@@ -281,7 +275,6 @@ def landmark_jacobians(
     uv_right: np.ndarray,
     intrinsics: CameraIntrinsics,
     baseline_m: float,
-    r_cam_body: np.ndarray,
 ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     """Residual + Jacobian for one SLAM landmark seen from one clone."""
     feature_position = state.landmarks[feature_id]
@@ -291,12 +284,7 @@ def landmark_jacobians(
     clone_offset = state.clone_offset(clone_id)
     feat_offset = state.landmark_offset(feature_id)
     blocks = _window_jacobians(
-        [clone],
-        feature_position,
-        np.array([uv_left, uv_right], dtype=float),
-        intrinsics,
-        baseline_m,
-        r_cam_body,
+        [clone], feature_position, np.array([uv_left, uv_right], dtype=float), intrinsics, baseline_m
     )
     if blocks is None:
         return None

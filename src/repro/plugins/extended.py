@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.core.config import SystemConfig
 from repro.core.plugin import InvocationContext, IterationResult, OnTopic, Periodic, Plugin
-from repro.maths.se3 import Pose
 from repro.maths.splines import TrajectorySpline
 from repro.perception.eye_tracking import EyeTracker
 from repro.perception.reconstruction.pipeline import ReconstructionPipeline
@@ -58,8 +57,7 @@ class DepthCameraPlugin(Plugin):
     def iteration(self, ctx: InvocationContext) -> IterationResult:
         result = IterationResult()
         if self.config.fidelity == "full":
-            truth = self.trajectory.sample(ctx.now)
-            pose = Pose(truth.position, truth.orientation, timestamp=ctx.now)
+            pose = self.trajectory.pose(ctx.now)
             depth = self.camera.render(pose)
             result.publish("depth", (depth, pose), data_time=ctx.now)
         else:

@@ -12,7 +12,6 @@ from repro.core.config import SystemConfig
 from repro.core.plugin import InvocationContext, IterationResult, OnTopic, Periodic, Plugin
 from repro.core.phonebook import Phonebook
 from repro.core.switchboard import Switchboard
-from repro.maths.se3 import Pose
 from repro.maths.splines import TrajectorySpline
 from repro.perception.integrator import IntegratorState, Rk4Integrator
 from repro.perception.vio.msckf import Msckf, MsckfConfig, VioEstimate
@@ -50,9 +49,7 @@ class CameraPlugin(Plugin):
         result = IterationResult()
         result.complexity = self._static_scale
         if self.config.fidelity == "full":
-            truth = self.trajectory.sample(ctx.now)
-            pose = Pose(truth.position, truth.orientation, timestamp=ctx.now)
-            frame = self.camera.observe(pose, timestamp=ctx.now)
+            frame = self.camera.observe(self.trajectory.pose(ctx.now), timestamp=ctx.now)
             result.publish("camera", frame, data_time=ctx.now)
         else:
             result.publish("camera", None, data_time=ctx.now)
@@ -82,11 +79,17 @@ class ImuPlugin(Plugin):
 
 
 class VioPlugin(Plugin):
-    """OpenVINS stand-in: runs the MSCKF on each camera frame (sync dep)."""
+    """OpenVINS stand-in: runs the MSCKF on each camera frame (sync dep).
+
+    ``filter_class`` is the plugin's one swap point: a subclass that sets it
+    to another :class:`~repro.perception.vio.msckf.Msckf` subclass (e.g.
+    ``EkfSlamVio``) runs that filter instead.
+    """
 
     name = "vio"
     component = "vio"
     pipeline = "perception"
+    filter_class = Msckf
 
     def __init__(self, config: SystemConfig, camera: StereoCamera, trajectory: TrajectorySpline) -> None:
         super().__init__(OnTopic("camera"))
@@ -98,7 +101,6 @@ class VioPlugin(Plugin):
         )
         self.filter: Optional[Msckf] = None
         self._imu_reader = None
-        self._frames_processed = 0
         self._last_frame_time: Optional[float] = None
         self._rng = np.random.default_rng(config.seed + 400)
 
@@ -118,20 +120,6 @@ class VioPlugin(Plugin):
         """
         self.filter = None
         self._last_frame_time = None
-        self._frames_processed = 0
-
-    def _ensure_filter(self, now: float) -> Msckf:
-        if self.filter is None:
-            truth = self.trajectory.sample(now)
-            initial = Pose(truth.position, truth.orientation, timestamp=now)
-            self.filter = Msckf(
-                self.msckf_config,
-                self.camera.intrinsics,
-                self.camera.baseline_m,
-                initial,
-                initial_velocity=truth.velocity,
-            )
-        return self.filter
 
     def iteration(self, ctx: InvocationContext) -> IterationResult:
         result = IterationResult()
@@ -146,7 +134,13 @@ class VioPlugin(Plugin):
         if frame is None:
             result.skipped = True
             return result
-        vio = self._ensure_filter(frame.timestamp if self._frames_processed == 0 else ctx.now)
+        if self.filter is None:
+            # Boot, or reboot after a supervisor restart, at the true
+            # state at this frame's time.
+            self.filter = self.filter_class.at(
+                self.msckf_config, self.camera, self.trajectory, frame.timestamp
+            )
+        vio = self.filter
         # Dropped camera frames (VIO running behind) widen the tracking
         # baseline; a real KLT front-end loses features it cannot find
         # within its search window.  This is the mechanism behind the
@@ -179,7 +173,6 @@ class VioPlugin(Plugin):
                 break
             vio.process_imu(sample)
         estimate: VioEstimate = vio.process_frame(frame)
-        self._frames_processed += 1
         if self.obs is not None:
             # Tracking health on the invocation span, so pose-quality
             # regressions are visible next to latency.
@@ -247,9 +240,7 @@ class IntegratorPlugin(Plugin):
         if self.config.fidelity != "full":
             # Model fidelity: ground-truth pose with the IMU timestamp (the
             # timing pipeline still measures realistic pose ages).
-            truth = self.trajectory.sample(sample.timestamp)
-            pose = Pose(truth.position, truth.orientation, timestamp=sample.timestamp)
-            result.publish("fast_pose", pose, data_time=sample.timestamp)
+            result.publish("fast_pose", self.trajectory.pose(sample.timestamp), data_time=sample.timestamp)
             return result
 
         self._buffer.append(sample)

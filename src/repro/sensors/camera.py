@@ -17,7 +17,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.maths.se3 import Pose
+from repro.maths.se3 import R_CAM_BODY, Pose
 from repro.maths.quaternion import quat_conjugate, quat_rotate
 
 
@@ -106,7 +106,8 @@ class StereoCamera:
     """A stereo rig rigidly attached to the head (IMU) frame.
 
     The camera looks along body +x (the walking direction in our
-    trajectories); camera frame is the usual (x right, y down, z forward).
+    trajectories); camera frame is the usual (x right, y down, z forward),
+    reached from the body frame by :data:`~repro.maths.se3.R_CAM_BODY`.
     """
 
     landmarks: LandmarkField
@@ -123,10 +124,6 @@ class StereoCamera:
         if not 0.2 <= self.exposure_ms <= 20.0:
             raise ValueError(f"exposure out of range: {self.exposure_ms}")
         self._rng = np.random.default_rng(self.seed)
-        # Body (x fwd, y left, z up) -> camera (x right, y down, z fwd).
-        self._r_cam_body = np.array(
-            [[0.0, -1.0, 0.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]]
-        )
 
     @property
     def pixel_noise(self) -> float:
@@ -145,7 +142,7 @@ class StereoCamera:
         body = quat_rotate(
             quat_conjugate(pose.orientation), self.landmarks.points - pose.position
         )
-        cam = body @ self._r_cam_body.T
+        cam = body @ R_CAM_BODY.T
         cam[:, 0] -= eye_offset
         return cam
 

@@ -43,8 +43,7 @@ class OfflineDataset:
 
     def ground_truth(self, t: float) -> Pose:
         """The true head pose at time ``t``."""
-        sample = self.trajectory.sample(t)
-        return Pose(sample.position, sample.orientation, timestamp=t)
+        return self.trajectory.pose(t)
 
     def imu_between(self, t_start: float, t_end: float) -> List[ImuSample]:
         """IMU samples with timestamps in ``(t_start, t_end]``."""
@@ -59,15 +58,9 @@ class OfflineDataset:
         return self.camera_frames[lo:hi]
 
     def start_vio(self, filter_class, config):
-        """A VIO filter (``Msckf`` or ``EkfSlamVio``, which share a
-        constructor) at the recording's first pose and velocity."""
-        return filter_class(
-            config,
-            self.camera.intrinsics,
-            self.camera.baseline_m,
-            self.ground_truth(0.0),
-            initial_velocity=self.trajectory.sample(0.0).velocity,
-        )
+        """A VIO filter (``Msckf`` or a subclass) at the recording's first
+        pose and velocity."""
+        return filter_class.at(config, self.camera, self.trajectory, 0.0)
 
     def replay(self, vio) -> Iterator[Tuple[float, float]]:
         """Run ``vio`` over the recording, one frame per step.
@@ -112,9 +105,7 @@ def make_vicon_room_dataset(
     camera_frames = []
     t = 0.0
     while t < duration:
-        truth = trajectory.sample(t)
-        pose = Pose(truth.position, truth.orientation, timestamp=t)
-        camera_frames.append(camera.observe(pose, timestamp=t))
+        camera_frames.append(camera.observe(trajectory.pose(t), timestamp=t))
         t += camera_period
     return OfflineDataset(
         name="vicon_room_1_medium_synthetic",

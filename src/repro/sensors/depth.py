@@ -14,7 +14,7 @@ from typing import List
 import numpy as np
 
 from repro.maths.quaternion import quat_rotate
-from repro.maths.se3 import Pose
+from repro.maths.se3 import R_CAM_BODY, Pose
 
 
 @dataclass(frozen=True)
@@ -88,12 +88,10 @@ class DepthCamera:
         self._rays_cam = np.stack(
             [(u - self.cx) / self.fx, (v - self.cy) / self.fy, np.ones_like(u)], axis=-1
         )
-        # Body (x fwd, y left, z up) -> camera frame mapping.
-        self._r_cam_body = np.array([[0.0, -1.0, 0.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]])
 
     def ray_directions_world(self, pose: Pose) -> np.ndarray:
         """Unnormalized world-frame ray directions per pixel (H, W, 3)."""
-        rays_body = self._rays_cam @ self._r_cam_body  # inverse of body->cam
+        rays_body = self._rays_cam @ R_CAM_BODY  # inverse of body->cam
         return quat_rotate(pose.orientation, rays_body.reshape(-1, 3)).reshape(
             self.height, self.width, 3
         )

@@ -19,11 +19,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.maths.quaternion import quat_rotate
-from repro.maths.se3 import Pose
+from repro.maths.se3 import R_CAM_BODY, Pose
 from repro.visual.scenes import Scene
-
-# Body (x fwd, y left, z up) -> camera (x right, y down, z fwd).
-R_CAM_BODY = np.array([[0.0, -1.0, 0.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]])
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,7 @@ from typing import Tuple
 import numpy as np
 
 from repro.maths.quaternion import quat_to_matrix
-from repro.maths.se3 import Pose
-from repro.visual.renderer import R_CAM_BODY
+from repro.maths.se3 import R_CAM_BODY, Pose
 
 
 def bilinear_sample(image: np.ndarray, coords: np.ndarray) -> np.ndarray:

@@ -23,14 +23,14 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.maths.quaternion import quat_rotate, quat_to_matrix
-from repro.maths.se3 import Pose
+from repro.maths.se3 import R_CAM_BODY, Pose
 from repro.perception.eye_tracking import ConvLayer, EyeTracker
 from repro.perception.reconstruction.raycast import RaycastResult
 from repro.perception.reconstruction.tsdf import _BLOCK_EDGE, TsdfVolume
 from repro.sensors.depth import DepthCamera
 from repro.sensors.eye import EyeImageGenerator
 from repro.visual.hologram import HologramResult, WeightedGerchbergSaxton
-from repro.visual.renderer import R_CAM_BODY, RenderedFrame, Renderer, _box_hit
+from repro.visual.renderer import RenderedFrame, Renderer, _box_hit
 
 
 class ReferenceWgs:
@@ -134,7 +134,7 @@ def voxel_centers_reference(volume: TsdfVolume) -> np.ndarray:
 def integrate_full_grid(volume: TsdfVolume, depth: np.ndarray, pose: Pose, camera: DepthCamera) -> int:
     """Fuse one depth frame by projecting *every* voxel of ``volume``."""
     r_wb = quat_to_matrix(pose.orientation)
-    r_cw = camera._r_cam_body @ r_wb.T
+    r_cw = R_CAM_BODY @ r_wb.T
     t = -r_cw @ pose.position
     cam = voxel_centers_reference(volume) @ r_cw.T + t
     z = cam[:, 2]

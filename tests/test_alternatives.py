@@ -62,17 +62,7 @@ def test_ekf_slam_in_vio_plugin():
     from repro.plugins.perception import VioPlugin
 
     class EkfVioPlugin(VioPlugin):
-        def _ensure_filter(self, now):
-            if self.filter is None:
-                truth = self.trajectory.sample(now)
-                self.filter = EkfSlamVio(
-                    self.msckf_config,
-                    self.camera.intrinsics,
-                    self.camera.baseline_m,
-                    Pose(truth.position, truth.orientation, timestamp=now),
-                    initial_velocity=truth.velocity,
-                )
-            return self.filter
+        filter_class = EkfSlamVio
 
     config = SystemConfig(duration_s=2.0, fidelity="full", seed=0)
     runtime = build_runtime(DESKTOP, "ar_demo", config)

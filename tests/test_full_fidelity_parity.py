@@ -32,7 +32,7 @@ from repro.audio.playback import AudioPlayback
 from repro.audio.rotation import sh_rotation_matrix, zoom_soundfield
 from repro.audio.sources import MusicLikeSource, SpeechLikeSource
 from repro.maths.quaternion import quat_from_axis_angle, quat_to_matrix
-from repro.maths.se3 import Pose, skew
+from repro.maths.se3 import R_CAM_BODY, Pose, skew
 from repro.perception.integrator import IntegratorState, Rk4Integrator
 from repro.perception.vio import propagation
 from repro.perception.vio.state import IMU_DIM, VioState
@@ -42,7 +42,6 @@ from repro.perception.vio.update import feature_jacobians, landmark_jacobians
 from repro.sensors.camera import CameraIntrinsics, LandmarkField, StereoCamera
 from repro.sensors.imu import ImuNoise, ImuSample
 
-R_CAM_BODY = np.array([[0.0, -1.0, 0.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]])
 BASELINE = 0.063
 INTRINSICS = CameraIntrinsics()
 
@@ -564,7 +563,7 @@ def test_triangulate_matches_per_eye_loop(seed, clones, behind, pixel_noise, bas
     (non-converging): None in the same cases, values to 1e-12."""
     rng = np.random.default_rng(seed)
     _point, observations = random_window(rng, clones, behind, pixel_noise)
-    got = triangulate(observations, INTRINSICS, baseline, R_CAM_BODY, max_iterations=iterations, pixel_sigma=1.5)
+    got = triangulate(observations, INTRINSICS, baseline, max_iterations=iterations, pixel_sigma=1.5)
     want = oracle_triangulate(observations, INTRINSICS, baseline, max_iterations=iterations, pixel_sigma=1.5)
     assert (got is None) == (want is None)
     if got is None:
@@ -581,13 +580,13 @@ def test_triangulate_degenerate_cases():
     rng = np.random.default_rng(3)
     _point, observations = random_window(rng, 1, False, 0.0)
     # One pose, zero baseline: both eyes give the same two rows (rank 2).
-    assert triangulate(observations, INTRINSICS, 0.0, R_CAM_BODY) is None
+    assert triangulate(observations, INTRINSICS, 0.0) is None
     assert oracle_triangulate(observations, INTRINSICS, 0.0) is None
-    assert triangulate([], INTRINSICS, BASELINE, R_CAM_BODY) is None
+    assert triangulate([], INTRINSICS, BASELINE) is None
     # A point behind every camera.
     _point, behind = random_window(rng, 3, True, 0.0)
     flipped = [CloneObservation(o.orientation, o.position, o.uv_right, o.uv_left) for o in behind]
-    assert triangulate(flipped, INTRINSICS, BASELINE, R_CAM_BODY) is None
+    assert triangulate(flipped, INTRINSICS, BASELINE) is None
     assert oracle_triangulate(flipped, INTRINSICS, BASELINE) is None
 
 
@@ -621,7 +620,7 @@ def test_feature_jacobians_match_per_clone_loop(seed, clones, landmarks, behind,
         track.add(clone.clone_id, rng.uniform(0, 640, 2), rng.uniform(0, 640, 2))
     if gaps:
         track.add(10_000, np.zeros(2), np.zeros(2))  # marginalized clone
-    got = feature_jacobians(state, track, feature, INTRINSICS, BASELINE, R_CAM_BODY)
+    got = feature_jacobians(state, track, feature, INTRINSICS, BASELINE)
     want = oracle_feature_jacobians(state, track, feature, INTRINSICS, BASELINE)
     assert (got is None) == (want is None)
     if got is not None:
@@ -640,13 +639,13 @@ def test_landmark_jacobians_match_per_eye_loop(seed, clones, landmarks, behind):
     clone_id = state.clones[int(rng.integers(clones))].clone_id
     uv_left, uv_right = rng.uniform(0, 640, 2), rng.uniform(0, 640, 2)
     args = (state, feature_id, clone_id, uv_left, uv_right, INTRINSICS, BASELINE)
-    got = landmark_jacobians(*args, R_CAM_BODY)
+    got = landmark_jacobians(*args)
     want = oracle_landmark_jacobians(*args)
     assert (got is None) == (want is None)
     if got is not None:
         for g, w in zip(got, want):
             assert_close_relative(g, w, 1e-12)
-    assert landmark_jacobians(state, feature_id, 10_000, uv_left, uv_right, INTRINSICS, BASELINE, R_CAM_BODY) is None
+    assert landmark_jacobians(state, feature_id, 10_000, uv_left, uv_right, INTRINSICS, BASELINE) is None
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from scipy.ndimage import gaussian_filter
 
 from repro.maths.quaternion import matrix_to_quat, quat_from_axis_angle, quat_multiply
-from repro.maths.se3 import Pose
+from repro.maths.se3 import R_CAM_BODY, Pose
 from repro.metrics.flip import flip
 from repro.metrics.ssim import ssim
 from repro.perception.eye_tracking import ConvLayer, EyeTracker, _im2col
@@ -36,7 +36,7 @@ from repro.sensors.depth import DepthCamera, DepthScene
 from repro.sensors.eye import EyeImageGenerator
 from repro.sensors.trajectory import lab_walk_trajectory
 from repro.visual.hologram import WeightedGerchbergSaxton
-from repro.visual.renderer import R_CAM_BODY, RenderCamera, Renderer
+from repro.visual.renderer import RenderCamera, Renderer
 from repro.visual.scenes import APPLICATIONS, scene_by_name
 from tests.kernel_oracles import (
     ReferenceWgs,

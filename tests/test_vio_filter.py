@@ -175,9 +175,3 @@ def test_track_add_and_drop():
     assert track.length == 1
     track.drop_clone(42)  # no-op
     assert track.length == 1
-
-
-def test_tracker_process_frame_wrapper():
-    tracker = FeatureTracker(max_features=10)
-    report = tracker.process_frame(_frame([1, 2]), clone_id=0)
-    assert report.detected == 2 and report.matched == 0 and report.lost == []

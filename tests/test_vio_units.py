@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.maths.quaternion import quat_from_axis_angle, quat_identity
+from repro.maths.se3 import R_CAM_BODY
 from repro.perception.vio.state import IMU_DIM, VioState
 from repro.perception.vio.tracker import Track
 from repro.perception.vio.triangulation import CloneObservation, triangulate
@@ -20,7 +21,6 @@ from repro.perception.vio import propagation
 from repro.sensors.camera import CameraIntrinsics
 from repro.sensors.imu import ImuNoise, ImuSample
 
-R_CAM_BODY = np.array([[0.0, -1.0, 0.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]])
 BASELINE = 0.063
 
 
@@ -51,7 +51,7 @@ def test_triangulation_exact_with_perfect_pixels():
         position = np.array([x, 0.0, 1.5])
         uv_l, uv_r = _stereo_obs(intr, orientation, position, point)
         observations.append(CloneObservation(orientation, position, uv_l, uv_r))
-    result = triangulate(observations, intr, BASELINE, R_CAM_BODY)
+    result = triangulate(observations, intr, BASELINE)
     assert result is not None
     assert np.allclose(result.position, point, atol=1e-6)
     assert result.mean_reprojection_px < 1e-6
@@ -64,7 +64,7 @@ def test_triangulation_single_stereo_observation():
     position = np.array([0.0, 0.0, 1.5])
     uv_l, uv_r = _stereo_obs(intr, orientation, position, point)
     result = triangulate(
-        [CloneObservation(orientation, position, uv_l, uv_r)], intr, BASELINE, R_CAM_BODY
+        [CloneObservation(orientation, position, uv_l, uv_r)], intr, BASELINE
     )
     assert result is not None
     assert np.allclose(result.position, point, atol=1e-4)
@@ -78,12 +78,12 @@ def test_triangulation_rejects_point_behind_camera():
     # Feed an observation of a point that triangulates behind the camera
     # by flipping the disparity sign.
     flipped = CloneObservation(obs.orientation, obs.position, obs.uv_right, obs.uv_left)
-    result = triangulate([flipped], intr, BASELINE, R_CAM_BODY)
+    result = triangulate([flipped], intr, BASELINE)
     assert result is None or result.mean_reprojection_px > 1.0
 
 
 def test_triangulation_empty_returns_none():
-    assert triangulate([], CameraIntrinsics(), BASELINE, R_CAM_BODY) is None
+    assert triangulate([], CameraIntrinsics(), BASELINE) is None
 
 
 def _state_with_clones(positions):
@@ -108,7 +108,7 @@ def test_feature_jacobians_zero_residual_at_truth():
     for clone in clones:
         uv_l, uv_r = _stereo_obs(intr, clone.orientation, clone.position, point)
         track.add(clone.clone_id, uv_l, uv_r)
-    jac = feature_jacobians(state, track, point, intr, BASELINE, R_CAM_BODY)
+    jac = feature_jacobians(state, track, point, intr, BASELINE)
     assert jac is not None
     residual, h_x, h_f = jac
     assert residual.shape == (8,)
@@ -125,7 +125,7 @@ def test_feature_jacobians_match_numeric_differentiation():
     track = Track(feature_id=0)
     uv_l, uv_r = _stereo_obs(intr, clone.orientation, clone.position, point)
     track.add(clone.clone_id, uv_l, uv_r)
-    _, h_x, h_f = feature_jacobians(state, track, point, intr, BASELINE, R_CAM_BODY)
+    _, h_x, h_f = feature_jacobians(state, track, point, intr, BASELINE)
 
     eps = 1e-6
     offset = state.clone_offset(clone.clone_id)
@@ -160,7 +160,7 @@ def test_feature_jacobians_none_when_no_clone_in_window():
     state, _clones = _state_with_clones([[0.0, 0.0, 1.5]])
     track = Track(feature_id=0)
     track.add(999, np.array([320.0, 240.0]), np.array([310.0, 240.0]))
-    assert feature_jacobians(state, track, np.ones(3), intr, BASELINE, R_CAM_BODY) is None
+    assert feature_jacobians(state, track, np.ones(3), intr, BASELINE) is None
 
 
 def test_nullspace_projection_annihilates_feature_jacobian():
